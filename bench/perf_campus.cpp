@@ -55,7 +55,6 @@ const CampusCorpus& campus() {
 core::ProbabilisticConfig pruned_config() {
   core::ProbabilisticConfig config;
   config.prune_top_k = 32;
-  config.prune_strongest_aps = 4;
   return config;
 }
 
@@ -74,8 +73,8 @@ void BM_CampusLocate_Exhaustive(benchmark::State& state) {
 }
 BENCHMARK(BM_CampusLocate_Exhaustive)->Unit(benchmark::kMicrosecond);
 
-// Coarse-to-fine on the ML coarse mode (exact restricted likelihood
-// over the candidate union) — top-1 identical to the exhaustive sweep
+// Coarse-to-fine pruning (exact restricted likelihood over the
+// candidate union) — top-1 identical to the exhaustive sweep
 // by construction, so this line is pure speedup.
 void BM_CampusLocate_Pruned(benchmark::State& state) {
   const CampusCorpus& c = campus();

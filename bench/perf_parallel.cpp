@@ -10,7 +10,6 @@
 #include "bench_util.hpp"
 #include "concurrency/parallel_for.hpp"
 #include "core/grid_locator.hpp"
-#include "core/signal_index.hpp"
 #include "core/knn.hpp"
 #include "core/probabilistic.hpp"
 #include "traindb/generator.hpp"
@@ -102,23 +101,6 @@ void BM_KnnBruteForce(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KnnBruteForce)->Unit(benchmark::kMicrosecond);
-
-void BM_KnnKdTreeIndex(benchmark::State& state) {
-  const OfficeCorpus& c = office();
-  const core::SignalIndex index(c.db);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.nearest(c.observation, 3));
-  }
-}
-BENCHMARK(BM_KnnKdTreeIndex)->Unit(benchmark::kMicrosecond);
-
-void BM_KdTreeBuild(benchmark::State& state) {
-  const OfficeCorpus& c = office();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::SignalIndex(c.db));
-  }
-}
-BENCHMARK(BM_KdTreeBuild)->Unit(benchmark::kMicrosecond);
 
 void BM_ProbabilisticLocate(benchmark::State& state) {
   const OfficeCorpus& c = office();

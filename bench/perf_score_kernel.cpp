@@ -218,38 +218,10 @@ void BM_Batch64_DenseParallel(benchmark::State& state) {
 BENCHMARK(BM_Batch64_DenseParallel)->Arg(2)->Arg(4)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
-// The v2 scoring engine: cache-blocked score_batch throughput
-// (observations/sec via items_per_second) and the coarse-to-fine
-// pruned locate path vs the exhaustive sweep. `simd` in the counters
-// records which backend the binary dispatched to ("avx2"/"neon" = 1,
-// scalar fallback = 0) so the JSON trajectory stays interpretable
-// across build configurations.
-void BM_ScoreBatch64_Blocked(benchmark::State& state) {
-  const OfficeCorpus& c = office();
-  const core::ProbabilisticLocator locator(c.db);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(locator.score_batch(c.batch));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(c.batch.size()));
-  state.counters["points"] = static_cast<double>(c.db.size());
-  state.counters["simd"] = std::string_view(simd::backend()) != "scalar";
-}
-BENCHMARK(BM_ScoreBatch64_Blocked)->Unit(benchmark::kMillisecond);
-
-void BM_ScoreBatch64_BlockedParallel(benchmark::State& state) {
-  const OfficeCorpus& c = office();
-  const core::ProbabilisticLocator locator(c.db);
-  concurrency::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(locator.score_batch(c.batch, &pool));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(c.batch.size()));
-}
-BENCHMARK(BM_ScoreBatch64_BlockedParallel)->Arg(2)->Arg(4)
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
-
+// The v2 scoring engine's coarse-to-fine pruned locate path vs the
+// exhaustive sweep. `simd` in the counters records which backend the
+// binary dispatched to ("avx2"/"neon" = 1, scalar fallback = 0) so the
+// JSON trajectory stays interpretable across build configurations.
 void BM_Locate_Pruned(benchmark::State& state) {
   const OfficeCorpus& c = office();
   core::ProbabilisticConfig config;
@@ -261,20 +233,10 @@ void BM_Locate_Pruned(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   state.counters["points"] = static_cast<double>(c.db.size());
   state.counters["top_k"] = static_cast<double>(state.range(0));
+  state.counters["simd"] = std::string_view(simd::backend()) != "scalar";
 }
 BENCHMARK(BM_Locate_Pruned)->Arg(16)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMicrosecond);
-
-void BM_Knn_Pruned(benchmark::State& state) {
-  const OfficeCorpus& c = office();
-  const core::KnnLocator knn(
-      c.db, core::KnnConfig{.k = 3, .prune_top_k = 32});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(knn.locate(c.observation));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Knn_Pruned)->Unit(benchmark::kMicrosecond);
 
 // Compilation cost itself, to show it amortizes.
 void BM_CompileDatabase(benchmark::State& state) {

@@ -1,17 +1,17 @@
 // SOAK_FLEET — the scheduled-CI fleet soak driver.
 //
 // Synthesizes a fleet scenario (device count, scans per device, and
-// seed from the command line), records its scan trace, replays it
-// through per-device `LocationService` sessions on the default thread
-// pool, and checks the full metric-invariant battery. Artifacts:
+// seed from the command line), records its scan trace, replays it as
+// one site through the soak replay (testkit/server_soak: one
+// `LocationService` session per device, swap waves republishing the
+// site's locator) on the default thread pool, and checks the full
+// metric-invariant battery. Artifacts:
 //
 //   --report PATH    deterministic run-report JSON (replay-comparable)
 //   --metrics PATH   process metrics-registry snapshot JSON
 //
-// `--server` switches to the server-level soak (testkit/server_soak):
-// the fleet is split across `--sites` venues, every scan routes
-// through a multi-tenant `LocationServer`, and snapshot swap waves
-// land throughout the replay. `--devices` stays the *total* fleet
+// `--server` switches to the synthesized multi-site soak: the fleet is
+// split across `--sites` venues of one multi-tenant `LocationServer`. `--devices` stays the *total* fleet
 // size, so the nightly job can say `--server --devices 10000`.
 //
 // `--campus` runs the classic leg on a generated multi-building campus
@@ -29,6 +29,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 
 #include <thread>
@@ -38,7 +39,6 @@
 #include "testkit/drift.hpp"
 #include "testkit/scenario.hpp"
 #include "testkit/server_soak.hpp"
-#include "testkit/soak.hpp"
 #include "testkit/trace.hpp"
 
 using namespace loctk;
@@ -287,18 +287,20 @@ int main(int argc, char** argv) {
   // fallback under concurrent fault-schedule load.
   core::ProbabilisticConfig locator_config;
   locator_config.prune_top_k = 32;
-  locator_config.prune_strongest_aps = 4;
-  const core::ProbabilisticLocator locator(scenario.database(),
-                                           locator_config);
-  testkit::SoakConfig config;
+  testkit::ServerSoakConfig config;
   config.max_p99_on_scan_s = opt.max_p99_s;
-  const testkit::SoakResult result =
-      testkit::run_fleet_soak(trace, locator, config);
+  const testkit::ServerSoakResult result = testkit::replay_server_soak(
+      {{trace, std::make_shared<core::ProbabilisticLocator>(
+                   scenario.database(), locator_config)}},
+      config);
 
   std::fputs(result.report.to_text().c_str(), stdout);
-  std::printf("  wall %.2fs   on_scan mean %.1fus   p99 %.1fus\n",
+  std::printf("  wall %.2fs   on_scan mean %.1fus   p99 %.1fus\n"
+              "  swap waves %llu (%llu under load)\n",
               result.wall_s, 1e6 * result.mean_on_scan_s,
-              1e6 * result.p99_on_scan_s);
+              1e6 * result.p99_on_scan_s,
+              static_cast<unsigned long long>(result.swap_waves),
+              static_cast<unsigned long long>(result.swap_waves_under_load));
 
   // Pruner effectiveness: exact candidates scored vs the exhaustive
   // point count, plus how often the degenerate fallback fired. The

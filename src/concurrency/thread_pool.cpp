@@ -60,16 +60,29 @@ void ThreadPool::post(std::function<void()> task) {
   cv_.notify_one();
 }
 
+void ThreadPool::wait_idle() {
+  std::unique_lock lock(mutex_);
+  idle_cv_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
+}
+
 void ThreadPool::set_error_callback(ErrorCallback cb) {
   std::lock_guard lock(mutex_);
   error_callback_ = std::move(cb);
 }
 
 void ThreadPool::worker_loop() {
+  bool finished_task = false;
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock lock(mutex_);
+      // The previous task (and its error handling) is done; retire it
+      // under the lock the loop takes anyway, so wait_idle() costs the
+      // hot path no extra lock round-trip.
+      if (finished_task) {
+        finished_task = false;
+        if (--running_ == 0 && queue_.empty()) idle_cv_.notify_all();
+      }
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) {
         if (stop_) return;
@@ -77,6 +90,8 @@ void ThreadPool::worker_loop() {
       }
       task = std::move(queue_.front());
       queue_.pop_front();
+      ++running_;
+      finished_task = true;
       queue_depth_gauge().set(static_cast<double>(queue_.size()));
     }
     // submit()'s packaged_task wrapper captures exceptions into the

@@ -72,15 +72,24 @@ class ThreadPool {
   /// Number of tasks waiting (excluding running ones); for tests.
   std::size_t pending() const;
 
+  /// Blocks until the queue is empty and no worker is running a task.
+  /// A task counts as running until its error handling (the
+  /// uncaught-error count and the error callback) has finished, so
+  /// everything those did happens-before wait_idle() returns.
+  void wait_idle();
+
  private:
   void worker_loop();
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
+  std::condition_variable idle_cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
   ErrorCallback error_callback_;
   std::atomic<std::size_t> uncaught_errors_{0};
+  /// Tasks dequeued whose handling has not finished; guarded by mutex_.
+  std::size_t running_ = 0;
   bool stop_ = false;
 };
 

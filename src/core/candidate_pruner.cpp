@@ -9,7 +9,6 @@ namespace loctk::core {
 CandidatePruner::CandidatePruner(
     std::shared_ptr<const CompiledDatabase> compiled, PrunerConfig config)
     : compiled_(std::move(compiled)), config_(config) {
-  config_.strongest_aps = std::max(1, config_.strongest_aps);
   config_.top_k = std::max(1, config_.top_k);
 
   const std::size_t points = compiled_->point_count();
@@ -43,84 +42,11 @@ std::vector<std::uint32_t> CandidatePruner::select(
   const auto top_k = static_cast<std::size_t>(config_.top_k);
   // Pruning that cannot shrink the work is pure overhead: degenerate.
   if (points <= top_k) return {};
-  if (config_.ml_tables) return select_ml(q, top_k);
 
-  // The loudest finite in-universe slots seed the candidate set; a
-  // query with none (empty, fully out-of-universe, or non-finite) is
-  // degenerate and must take the full pass.
-  std::vector<std::uint32_t> strongest;
-  strongest.reserve(q.slots.size());
-  for (const std::uint32_t slot : q.slots) {
-    if (std::isfinite(q.mean_dbm[slot])) strongest.push_back(slot);
-  }
-  if (strongest.empty()) return {};
-  const std::size_t n_strong = std::min<std::size_t>(
-      static_cast<std::size_t>(config_.strongest_aps), strongest.size());
-  std::partial_sort(strongest.begin(),
-                    strongest.begin() + static_cast<std::ptrdiff_t>(n_strong),
-                    strongest.end(),
-                    [&](std::uint32_t a, std::uint32_t b) {
-                      return q.mean_dbm[a] > q.mean_dbm[b];
-                    });
-  strongest.resize(n_strong);
-
-  // Gather every row posted under a strong slot. Touch order is
-  // deterministic (slot then database order), so ties in the
-  // top-k selection below resolve identically run to run.
-  std::vector<std::uint8_t> seen(points, 0);
-  std::vector<std::uint32_t> touched;
-  for (const std::uint32_t slot : strongest) {
-    for (std::uint32_t i = offsets_[slot]; i < offsets_[slot + 1]; ++i) {
-      const std::uint32_t p = postings_[i];
-      if (!seen[p]) {
-        seen[p] = 1;
-        touched.push_back(p);
-      }
-    }
-  }
-  if (touched.empty()) return {};
-
-  // Coarse-score each touched row over ALL finite observed slots: the
-  // negated squared-dBm gap with untrained slots charged against the
-  // missing fill. This is the exact k-NN distance restricted to the
-  // observed dimensions, so near rows cannot be misranked by the
-  // handful of slots that seeded the candidate set.
-  std::vector<double> coarse(points, 0.0);
-  for (const std::uint32_t p : touched) {
-    const double* mean = compiled_->mean_row(p);
-    const double* mask = compiled_->mask_row(p);
-    double sum2 = 0.0;
-    for (const std::uint32_t slot : q.slots) {
-      const double q_dbm = q.mean_dbm[slot];
-      if (!std::isfinite(q_dbm)) continue;
-      const double trained =
-          mask[slot] != 0.0 ? mean[slot] : config_.missing_dbm;
-      const double d = q_dbm - trained;
-      sum2 += d * d;
-    }
-    coarse[p] = -sum2;
-  }
-
-  if (touched.size() > top_k) {
-    std::nth_element(touched.begin(),
-                     touched.begin() + static_cast<std::ptrdiff_t>(top_k),
-                     touched.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return coarse[a] > coarse[b];
-                     });
-    touched.resize(top_k);
-  }
-  std::sort(touched.begin(), touched.end());
-  return touched;
-}
-
-std::vector<std::uint32_t> CandidatePruner::select_ml(
-    const CompiledObservation& q, std::size_t top_k) const {
   // Every row sharing at least one finite observed slot is a
   // candidate: the exact pass skips rows with zero common APs
   // (min_common_aps >= 1), so no row outside this union can win the
   // arg-max, and every row inside it gets ranked by its true score.
-  const std::size_t points = compiled_->point_count();
   std::vector<std::uint8_t> seen(points, 0);
   std::vector<std::uint32_t> touched;
   for (const std::uint32_t slot : q.slots) {
@@ -142,7 +68,7 @@ std::vector<std::uint32_t> CandidatePruner::select_ml(
   // summation order — a sparse row's flat penalties rank it exactly
   // where the arg-max will.
   const std::size_t stride = compiled_->row_stride();
-  const GaussianTables& tables = *config_.ml_tables;
+  const GaussianTables& tables = *config_.tables;
   const double obs_count =
       static_cast<double>(q.in_universe() + q.outside_universe);
   std::vector<double> coarse(points, 0.0);
@@ -160,14 +86,14 @@ std::vector<std::uint32_t> CandidatePruner::select_ml(
       gauss += log_norm[slot] - inv_two_var[slot] * d * d;
       ++common;
     }
-    if (common < config_.ml_min_common_aps) {
+    if (common < config_.min_common_aps) {
       coarse[p] = -std::numeric_limits<double>::infinity();
       continue;
     }
     const double penalties =
         static_cast<double>(compiled_->trained_count(p)) + obs_count -
         2.0 * static_cast<double>(common);
-    coarse[p] = gauss + config_.ml_missing_penalty * penalties;
+    coarse[p] = gauss + config_.missing_penalty * penalties;
   }
 
   if (touched.size() > top_k) {

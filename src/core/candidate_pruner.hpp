@@ -1,55 +1,41 @@
 #pragma once
 
 /// \file candidate_pruner.hpp
-/// Coarse-to-fine candidate selection for the scoring engine.
+/// Coarse-to-fine candidate selection for the probabilistic locator.
 ///
 /// Brute-force scoring visits every training point per observation.
 /// On campus-scale maps almost all of those rows lose by a mile: a
-/// training point that never heard the observation's strongest APs is
-/// not going to win the likelihood arg-max. The pruner exploits that
-/// with the same inverted-index idea `signal_index` applies to
-/// geometric NN search, but specialized to the SoA scoring path:
+/// training point that shares no AP with the observation cannot win
+/// the likelihood arg-max. The pruner exploits that with an inverted
+/// index specialized to the SoA scoring path:
 ///
 ///  1. At build time, a CSR postings list maps each universe slot to
 ///     the training rows trained on it.
-///  2. Per query, take the `strongest_aps` loudest observed in-universe
-///     slots and walk their postings to collect candidate rows. Each
-///     touched row is then coarse-scored over ALL of the query's
-///     observed slots: the negated squared dBm gap, with untrained
-///     slots charged against `missing_dbm` — the exact k-NN distance
-///     restricted to the observed dimensions, and a penalty-aware
-///     proxy for the probabilistic likelihood. Scoring only touched
-///     rows keeps the cost O(candidates x observed APs), far below an
-///     exact full sweep.
-///  3. Keep the best `top_k` rows; the caller scores ONLY those with
+///  2. Per query, walk the postings of EVERY finite observed slot to
+///     collect candidate rows. The exact pass skips rows with zero
+///     common APs (min_common_aps >= 1), so no row outside this union
+///     can win the arg-max.
+///  3. Coarse-rank each candidate with the consumer's own likelihood
+///     gathered over the observed slots only — mathematically the
+///     exact score (the dense kernel's Gaussian terms are zero off the
+///     observation, and the penalty terms are closed-form in the
+///     counts), at O(candidates x observed APs) cost. A sparsely
+///     trained row (a corner room hearing a handful of APs, charged a
+///     flat `missing_ap_log_penalty` per visibility disagreement) is
+///     ranked exactly where the arg-max puts it, so the exact winner
+///     can only leave the top-k on a sub-rounding-noise tie.
+///  4. Keep the best `top_k` rows; the caller scores ONLY those with
 ///     the exact kernel, so every returned estimate is exactly scored
 ///     (pruning can change *which* rows compete, never their scores).
 ///
 /// Degenerate-query contract: `select` returns an empty vector — and
 /// the caller MUST fall back to the full exact pass — when the
 /// database is small enough that pruning cannot shrink the work
-/// (point_count <= top_k), when the observation has no finite
-/// in-universe AP, or when no training row matches any strong AP.
-/// Locators additionally fall back when the pruned pass yields no
-/// valid estimate, so enabling pruning can never turn a valid answer
-/// into an invalid one.
-///
-/// ML coarse mode (`PrunerConfig::ml_tables`): the gap metric above is
-/// congruent with the k-NN distance but NOT with the probabilistic
-/// likelihood at campus cardinality — the likelihood charges a flat
-/// `missing_ap_log_penalty` per visibility disagreement, so a sparsely
-/// trained row (a corner room hearing a handful of APs) can win the
-/// exact arg-max while the gap metric, charging (observed - missing)²
-/// per untrained slot, ranks it near dead last and prunes it out.
-/// When the consumer supplies its Gaussian tables, the pruner instead
-/// seeds candidates from EVERY finite observed slot's postings and
-/// coarse-ranks them with the consumer's own score gathered over the
-/// observed slots only — mathematically the exact likelihood (the
-/// dense kernel's Gaussian terms are zero off the observation, and the
-/// penalty terms are closed-form in the counts), at
-/// O(candidates x observed APs) cost. Any row sharing at least one AP
-/// with the observation is ranked by its true score, so the exact
-/// winner can only leave the top-k on a sub-rounding-noise tie.
+/// (point_count <= top_k), or when no training row shares a finite
+/// observed AP (an empty, fully out-of-universe, or non-finite
+/// observation). Locators additionally fall back when the pruned pass
+/// yields no valid estimate, so enabling pruning can never turn a
+/// valid answer into an invalid one.
 
 #include <cstdint>
 #include <memory>
@@ -63,41 +49,32 @@ namespace loctk::core {
 /// points x row_stride() with exact zeros at untrained slots and in
 /// the stride pad:
 ///   log_pdf(x) = log_norm - (x - mean)² · inv_two_var.
-/// Owned by the locator that built them and shared with its pruner
-/// (ML coarse mode), so copies of either stay valid.
+/// Owned by the locator that built them and shared with its pruner,
+/// so copies of either stay valid.
 struct GaussianTables {
   simd::AlignedDoubles log_norm;
   simd::AlignedDoubles inv_two_var;
 };
 
 struct PrunerConfig {
-  /// How many of the observation's loudest in-universe APs seed the
-  /// candidate set.
-  int strongest_aps = 4;
   /// Max candidate rows returned for exact scoring.
   int top_k = 32;
-  /// Fill level charged when a candidate row never trained an
-  /// observed slot — keeps the coarse ranking congruent with the
-  /// k-NN distance (KnnConfig::missing_dbm).
-  double missing_dbm = -100.0;
-  /// When set, switches the coarse rank to ML mode (see file comment):
-  /// candidates seed from every finite observed slot and are ranked by
-  /// the consumer's own restricted score built from these tables plus
-  /// the two knobs below. `strongest_aps` and `missing_dbm` are
-  /// ignored in this mode.
-  std::shared_ptr<const GaussianTables> ml_tables;
+  /// The consumer's Gaussian tables; the coarse rank is the consumer's
+  /// own restricted score built from these plus the two knobs below.
+  std::shared_ptr<const GaussianTables> tables;
   /// The consumer's ProbabilisticConfig::missing_ap_log_penalty.
-  double ml_missing_penalty = -6.0;
+  double missing_penalty = -6.0;
   /// The consumer's ProbabilisticConfig::min_common_aps: rows below it
   /// coarse-score -infinity (the exact pass skips them, so they must
   /// not occupy candidate slots).
-  int ml_min_common_aps = 1;
+  int min_common_aps = 1;
 };
 
 class CandidatePruner {
  public:
+  /// `config.tables` must be set and laid out over `compiled`'s rows.
   CandidatePruner(std::shared_ptr<const CompiledDatabase> compiled,
-                  PrunerConfig config = {});
+                  PrunerConfig config);
 
   /// Candidate training rows for `q`, sorted ascending (database
   /// order, so downstream scans stay deterministic and prefetchable).
@@ -107,11 +84,6 @@ class CandidatePruner {
   const PrunerConfig& config() const { return config_; }
 
  private:
-  /// The ML-mode selection (config_.ml_tables set): all-observed-slot
-  /// candidate union, coarse rank = the consumer's restricted score.
-  std::vector<std::uint32_t> select_ml(const CompiledObservation& q,
-                                       std::size_t top_k) const;
-
   std::shared_ptr<const CompiledDatabase> compiled_;
   PrunerConfig config_;
   /// CSR postings: rows trained on slot s live at

@@ -29,11 +29,6 @@ KnnLocator::KnnLocator(std::shared_ptr<const CompiledDatabase> compiled,
       row[u] = mask[u] != 0.0 ? mean[u] : config_.missing_dbm;
     }
   }
-  if (config_.prune_top_k > 0) {
-    pruner_ = std::make_shared<const CandidatePruner>(
-        compiled_, PrunerConfig{.strongest_aps = config_.prune_strongest_aps,
-                                .top_k = config_.prune_top_k});
-  }
 }
 
 std::string KnnLocator::name() const {
@@ -73,21 +68,11 @@ LocationEstimate KnnLocator::locate(const Observation& obs) const {
     double distance;
   };
   std::vector<Neighbor> neighbors;
-  auto rank_row = [&](std::size_t p) {
+  neighbors.reserve(points);
+  for (std::size_t p = 0; p < points; ++p) {
     const double sum2 = kernels::sq_dist_row<simd::Vec4d>(
         filled_.data() + p * stride, query.data(), stride);
     neighbors.push_back({&compiled_->point(p), std::sqrt(sum2)});
-  };
-  // Coarse-to-fine: rank only the prefiltered candidates (exact
-  // distances), or everything when pruning is off or degenerate.
-  std::vector<std::uint32_t> candidates;
-  if (pruner_) candidates = pruner_->select(cq);
-  if (!candidates.empty()) {
-    neighbors.reserve(candidates.size());
-    for (const std::uint32_t p : candidates) rank_row(p);
-  } else {
-    neighbors.reserve(points);
-    for (std::size_t p = 0; p < points; ++p) rank_row(p);
   }
   const std::size_t k =
       std::min<std::size_t>(static_cast<std::size_t>(config_.k),

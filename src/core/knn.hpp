@@ -11,7 +11,6 @@
 /// which can land *between* training points — something the paper's
 /// §5.1 locator cannot do.
 
-#include "core/candidate_pruner.hpp"
 #include "core/compiled_db.hpp"
 #include "core/locator.hpp"
 
@@ -25,13 +24,6 @@ struct KnnConfig {
   double weighting_epsilon = 1e-3;
   /// Sentinel RSSI for APs missing on either side (dBm).
   double missing_dbm = -100.0;
-  /// Coarse-to-fine pruning: when > 0, locate() ranks only the
-  /// candidate rows the strongest-AP prefilter returns (distances
-  /// computed with the exact kernel) and falls back to the full
-  /// sweep when the prefilter is degenerate. 0 = exhaustive.
-  int prune_top_k = 0;
-  /// Strongest observed APs seeding the prefilter.
-  int prune_strongest_aps = 4;
 };
 
 /// k-nearest-neighbor in signal space. k = 1 gives plain NNSS.
@@ -63,8 +55,6 @@ class KnnLocator : public Locator {
  private:
   std::shared_ptr<const CompiledDatabase> compiled_;
   KnnConfig config_;
-  /// Built when config_.prune_top_k > 0.
-  std::shared_ptr<const CandidatePruner> pruner_;
   /// Row-major points x row_stride() mean signatures with
   /// `missing_dbm` filled at untrained slots; 64-byte aligned, and
   /// pad cells are 0.0 on both the matrix and the query side so the

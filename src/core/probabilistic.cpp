@@ -13,20 +13,6 @@ namespace loctk::core {
 
 namespace {
 
-metrics::Counter& score_batch_calls() {
-  static metrics::Counter& c = metrics::counter("score.batch.calls");
-  return c;
-}
-metrics::Counter& score_batch_observations() {
-  static metrics::Counter& c =
-      metrics::counter("score.batch.observations");
-  return c;
-}
-metrics::HistogramMetric& score_latency() {
-  static metrics::HistogramMetric& h =
-      metrics::histogram("score.latency.seconds");
-  return h;
-}
 metrics::Counter& prune_queries() {
   static metrics::Counter& c = metrics::counter("score.prune.queries");
   return c;
@@ -72,13 +58,6 @@ metrics::Counter& locate_batch_observations() {
   return c;
 }
 
-/// Cache-blocking geometry for score_batch: observations are chunked
-/// into groups and the training rows into tiles, so one tile of
-/// mean/mask/log_norm/inv_two_var panels is scored against the whole
-/// group while it is L1/L2-resident.
-constexpr std::size_t kBatchGroup = 8;
-constexpr std::size_t kPointTile = 64;
-
 }  // namespace
 
 ProbabilisticLocator::ProbabilisticLocator(
@@ -91,16 +70,15 @@ ProbabilisticLocator::ProbabilisticLocator(
     : compiled_(std::move(compiled)), config_(config) {
   build_kernel_tables();
   if (config_.prune_top_k > 0) {
-    // ML coarse mode: the pruner ranks candidates with this locator's
-    // own restricted score, so the exact arg-max is never pruned out
-    // (candidate_pruner.hpp, "ML coarse mode").
+    // The pruner ranks candidates with this locator's own restricted
+    // score, so the exact arg-max is never pruned out
+    // (candidate_pruner.hpp).
     pruner_ = std::make_shared<const CandidatePruner>(
         compiled_,
-        PrunerConfig{.strongest_aps = config_.prune_strongest_aps,
-                     .top_k = config_.prune_top_k,
-                     .ml_tables = tables_,
-                     .ml_missing_penalty = config_.missing_ap_log_penalty,
-                     .ml_min_common_aps = config_.min_common_aps});
+        PrunerConfig{.top_k = config_.prune_top_k,
+                     .tables = tables_,
+                     .missing_penalty = config_.missing_ap_log_penalty,
+                     .min_common_aps = config_.min_common_aps});
     prune_database_points().set(
         static_cast<double>(compiled_->point_count()));
   }
@@ -269,46 +247,6 @@ std::vector<ScoredPoint> ProbabilisticLocator::score_all(
     scores.push_back(scored_point(p, q));
   }
   return scores;
-}
-
-std::vector<std::vector<ScoredPoint>> ProbabilisticLocator::score_batch(
-    std::span<const Observation> obs, concurrency::ThreadPool* pool) const {
-  score_batch_calls().increment();
-  score_batch_observations().add(obs.size());
-  metrics::ScopedTimer timer(score_latency(), obs.size());
-  std::vector<std::vector<ScoredPoint>> out(obs.size());
-  const std::size_t points = compiled_->point_count();
-  // Cache-blocked sweep: each worker takes a group of observations,
-  // compiles them once, then walks the training rows in tiles scoring
-  // the whole group per tile — the tile's four table panels stay
-  // cache-resident across the group instead of being re-streamed per
-  // observation. Per-<observation, row> arithmetic is score_point
-  // verbatim, so results are identical to score_all per element.
-  const std::size_t groups = (obs.size() + kBatchGroup - 1) / kBatchGroup;
-  auto body = [&](std::size_t g) {
-    const std::size_t begin = g * kBatchGroup;
-    const std::size_t end = std::min(begin + kBatchGroup, obs.size());
-    std::vector<CompiledObservation> qs;
-    qs.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      qs.push_back(compiled_->compile_observation(obs[i]));
-      out[i].reserve(points);
-    }
-    for (std::size_t p0 = 0; p0 < points; p0 += kPointTile) {
-      const std::size_t p1 = std::min(p0 + kPointTile, points);
-      for (std::size_t i = begin; i < end; ++i) {
-        for (std::size_t p = p0; p < p1; ++p) {
-          out[i].push_back(scored_point(p, qs[i - begin]));
-        }
-      }
-    }
-  };
-  if (pool && groups > 1) {
-    concurrency::parallel_for(*pool, 0, groups, body);
-  } else {
-    for (std::size_t g = 0; g < groups; ++g) body(g);
-  }
-  return out;
 }
 
 LocationEstimate ProbabilisticLocator::best_of_all(

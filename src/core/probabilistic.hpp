@@ -16,7 +16,7 @@
 /// We evaluate the product in log space (same arg-max, no underflow)
 /// and expose the full per-point scores for the Bayes-grid and
 /// tracking layers. The bulk paths (`score_all`, `locate`,
-/// `score_batch`) run a dense kernel over `CompiledDatabase` matrices;
+/// `locate_batch`) run a dense kernel over `CompiledDatabase` matrices;
 /// the per-point `log_likelihood` keeps the string-keyed form as the
 /// readable reference implementation (the equivalence is pinned by
 /// tests/core_compiled_db_test.cpp).
@@ -51,15 +51,12 @@ struct ProbabilisticConfig {
   /// Pooling removes that term from the decision.
   bool use_pooled_sigma = false;
   /// Coarse-to-fine pruning: when > 0, locate() scores only the
-  /// `prune_top_k` candidate rows a strongest-AP prefilter selects
+  /// `prune_top_k` candidate rows the pruner's coarse rank selects
   /// (each scored with the exact kernel), falling back to the full
   /// pass whenever the prefilter is degenerate or the pruned pass
   /// yields no valid estimate. 0 keeps the exhaustive sweep.
-  /// score_all/score_batch always score everything — pruning is a
-  /// serve-path (locate) optimization.
+  /// score_all always scores everything.
   int prune_top_k = 0;
-  /// How many of the observation's loudest APs seed the prefilter.
-  int prune_strongest_aps = 4;
 };
 
 /// One scored training point (for diagnostics and the Bayes layer).
@@ -104,12 +101,6 @@ class ProbabilisticLocator : public Locator {
   /// database order. Skipped points carry -infinity.
   std::vector<ScoredPoint> score_all(const Observation& obs) const;
 
-  /// score_all for a batch of observations; with a pool the batch is
-  /// chunked across workers. Results are index-aligned with `obs`.
-  std::vector<std::vector<ScoredPoint>> score_batch(
-      std::span<const Observation> obs,
-      concurrency::ThreadPool* pool = nullptr) const;
-
   /// Log-likelihood of one observation at one training point —
   /// the string-keyed reference implementation (a sorted two-pointer
   /// merge over the observation and the point's per-AP list).
@@ -125,6 +116,9 @@ class ProbabilisticLocator : public Locator {
   }
   const CompiledDatabase& compiled() const { return *compiled_; }
   const ProbabilisticConfig& config() const { return config_; }
+  /// The coarse-to-fine pruner locate() consults; null when
+  /// `prune_top_k == 0`.
+  const CandidatePruner* pruner() const { return pruner_.get(); }
 
   /// Pooled sigma for `bssid` (defined whether or not pooling is
   /// enabled); falls back to the floor for unknown BSSIDs.
@@ -160,7 +154,7 @@ class ProbabilisticLocator : public Locator {
   /// Aligned with database().bssid_universe().
   std::vector<double> pooled_sigma_;
   /// The per-cell Gaussian constants (see GaussianTables), shared with
-  /// the pruner's ML coarse mode so copies of either stay valid.
+  /// the pruner so copies of either stay valid.
   std::shared_ptr<const GaussianTables> tables_;
 };
 

@@ -218,11 +218,6 @@ PrunedDifferentialReport run_pruned_differential(
   exact_config.prune_top_k = 0;
   const core::ProbabilisticLocator prob_pruned(compiled, prune_config);
   const core::ProbabilisticLocator prob_exact(compiled, exact_config);
-  const core::KnnConfig knn_pruned_cfg{
-      .k = 3, .prune_top_k = prune_config.prune_top_k,
-      .prune_strongest_aps = prune_config.prune_strongest_aps};
-  const core::KnnLocator knn_pruned(compiled, knn_pruned_cfg);
-  const core::KnnLocator knn_exact(compiled, {.k = 3});
 
   auto compare = [&report](const std::string& locator, std::size_t i,
                            const core::LocationEstimate& pruned,
@@ -239,8 +234,6 @@ PrunedDifferentialReport run_pruned_differential(
     const core::Observation& obs = observations[i];
     compare("probabilistic-ml/pruned", i, prob_pruned.locate(obs),
             prob_exact.locate(obs));
-    compare("knn-3/pruned", i, knn_pruned.locate(obs),
-            knn_exact.locate(obs));
   }
   return report;
 }

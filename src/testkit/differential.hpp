@@ -101,9 +101,9 @@ struct PrunedDifferentialReport {
   std::string to_text() const;
 };
 
-/// Runs the probabilistic and k-NN locators twice over `observations`
-/// — once with `prune_config`'s pruning enabled, once with the exact
-/// full sweep — and diffs the top-1 estimates. `prune_config` must
+/// Runs the probabilistic locator twice over `observations` — once
+/// with `prune_config`'s pruning enabled, once with the exact full
+/// sweep — and diffs the top-1 estimates. `prune_config` must
 /// have prune_top_k > 0; the exact twin is the same config with
 /// pruning zeroed.
 PrunedDifferentialReport run_pruned_differential(

@@ -29,7 +29,7 @@
 ///     from-scratch rebuild (`compare_compiled_databases`).
 ///
 /// Violations are collected, not thrown, in the style of
-/// soak.hpp/server_soak.hpp; `DriftSoakResult::ok()` is the gate the
+/// server_soak.hpp; `DriftSoakResult::ok()` is the gate the
 /// conformance suite and the nightly `soak_fleet --drift` leg assert.
 
 #include <cstdint>

@@ -8,8 +8,8 @@
 /// tallies and the sorted per-fix error list (the accuracy CDF). Two
 /// replays of the same trace produce `==`-equal reports — that is the
 /// bit-for-bit acceptance gate — so anything timing-flavored (locate
-/// latency percentiles) lives in `SoakResult` beside the report, never
-/// inside it. Serialization (`to_json`) prints doubles with %.17g so
+/// latency percentiles) lives in `ServerSoakResult` beside the report,
+/// never inside it. Serialization (`to_json`) prints doubles with %.17g so
 /// the artifact round-trips the exact values CI compared.
 
 #include <cstdint>

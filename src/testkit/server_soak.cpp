@@ -48,20 +48,18 @@ std::string format_violation(const char* what, std::uint64_t expected,
   return buf;
 }
 
-/// The production republish: a locator freshly compiled from the
-/// site's training database. Compilation is deterministic, so every
-/// generation scores identically — which is what keeps the run report
-/// independent of swap timing.
+/// A site's locator: the pruned §5.1 locator compiled from the site's
+/// training database, so the soak keeps the coarse-to-fine path and
+/// its degenerate fallback under concurrent fault-schedule load.
 std::shared_ptr<const core::Locator> make_site_locator(
     const Scenario& scenario) {
   core::ProbabilisticConfig config;
   config.prune_top_k = 32;
-  config.prune_strongest_aps = 4;
   return std::make_shared<const core::ProbabilisticLocator>(
       core::CompiledDatabase::compile(scenario.database()), config);
 }
 
-/// The fleet soak's standing fault schedule, per site.
+/// The standing fault schedule, per site.
 void add_fault_schedule(ScenarioSpec& spec) {
   const auto devices = static_cast<std::uint32_t>(spec.devices.size());
   for (std::uint32_t d = 0; d < devices; d += 7) {
@@ -85,17 +83,10 @@ serve::DeviceId device_id(std::size_t site, std::uint32_t device) {
 
 }  // namespace
 
-ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
-  concurrency::ThreadPool& pool =
-      config.pool ? *config.pool : concurrency::default_pool();
-  ServerSoakResult result;
-
-  // --- Synthesize the multi-site workload -------------------------
-  std::vector<std::unique_ptr<Scenario>> scenarios;
-  std::vector<ScanTrace> traces;
-  scenarios.reserve(config.sites);
-  traces.reserve(config.sites);
-  std::size_t total_scans = 0;
+SoakWorkload synthesize_soak_workload(const ServerSoakConfig& config) {
+  SoakWorkload workload;
+  workload.scenarios.reserve(config.sites);
+  workload.sites.reserve(config.sites);
   for (std::size_t s = 0; s < config.sites; ++s) {
     const std::uint64_t site_seed = config.seed + 1000 * (s + 1);
     ScenarioSpec spec;
@@ -109,15 +100,31 @@ ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
     }
     spec.name = "site-" + std::to_string(s) + "-" + spec.name;
     if (config.fault_schedule) add_fault_schedule(spec);
-    scenarios.push_back(std::make_unique<Scenario>(std::move(spec)));
-    traces.push_back(scenarios.back()->record_trace());
-    total_scans += traces.back().scans.size();
+    const Scenario& scenario = *workload.scenarios.emplace_back(
+        std::make_unique<Scenario>(std::move(spec)));
+    workload.sites.push_back(
+        {scenario.record_trace(), make_site_locator(scenario)});
+  }
+  return workload;
+}
+
+ServerSoakResult replay_server_soak(const std::vector<SoakSite>& sites,
+                                    const ServerSoakConfig& config) {
+  concurrency::ThreadPool& pool =
+      config.pool ? *config.pool : concurrency::default_pool();
+  ServerSoakResult result;
+
+  std::size_t total_scans = 0;
+  std::size_t max_devices = 0;
+  for (const SoakSite& site : sites) {
+    total_scans += site.trace.scans.size();
+    max_devices = std::max<std::size_t>(max_devices, site.trace.device_count);
   }
 
   // --- Stand the server up ----------------------------------------
   serve::LocationServerConfig server_config;
   server_config.service = config.service;
-  server_config.max_sites = std::max<std::size_t>(1, config.sites);
+  server_config.max_sites = std::max<std::size_t>(1, sites.size());
   // The "session table never fills" invariant below demands a table
   // that genuinely cannot fill. Capacity is split across 16 hash
   // stripes and a stripe overflows individually, so 2x total headroom
@@ -125,31 +132,35 @@ ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
   // stripes of 8 cells overflows on ordinary hash imbalance); size
   // for per-stripe slack, not just aggregate load factor.
   server_config.sessions_per_site =
-      std::max<std::size_t>(256, 4 * config.devices_per_site);
+      std::max<std::size_t>(256, 4 * max_devices);
   serve::LocationServer server(server_config);
 
   metrics::Counter& service_scans = metrics::counter("service.scans");
   metrics::Counter& service_rejected =
       metrics::counter("service.rejected_samples");
+  metrics::Counter& service_degraded =
+      metrics::counter("service.degraded_fixes");
   const std::uint64_t service_scans_before = service_scans.value();
   const std::uint64_t service_rejected_before = service_rejected.value();
+  const std::uint64_t service_degraded_before = service_degraded.value();
   const std::size_t pool_errors_before = pool.uncaught_task_errors();
 
   std::vector<serve::SiteId> site_ids;
   std::vector<std::uint64_t> shard_scans_before;
-  for (std::size_t s = 0; s < config.sites; ++s) {
-    site_ids.push_back(server.add_site(scenarios[s]->spec().name,
-                                       make_site_locator(*scenarios[s])));
-    shard_scans_before.push_back(server.stats(site_ids[s]).scans);
+  for (const SoakSite& site : sites) {
+    site_ids.push_back(server.add_site(site.trace.scenario, site.locator));
+    shard_scans_before.push_back(server.stats(site_ids.back()).scans);
   }
 
-  // --- Replay with a swapper thread republishing under load -------
-  std::vector<std::vector<std::vector<std::size_t>>> by_device(config.sites);
+  // --- Replay with swap waves republishing under load -------------
+  std::vector<std::vector<std::vector<std::size_t>>> by_device(sites.size());
   std::vector<std::pair<std::size_t, std::uint32_t>> work;
-  for (std::size_t s = 0; s < config.sites; ++s) {
-    by_device[s] = traces[s].scans_by_device();
+  std::vector<std::uint64_t> scanning_devices(sites.size(), 0);
+  for (std::size_t s = 0; s < sites.size(); ++s) {
+    by_device[s] = sites[s].trace.scans_by_device();
     for (std::uint32_t d = 0; d < by_device[s].size(); ++d) {
       work.emplace_back(s, d);
+      if (!by_device[s][d].empty()) ++scanning_devices[s];
     }
   }
   std::vector<DeviceSlot> slots(work.size());
@@ -179,8 +190,8 @@ ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
                (claimed + 1) * swap_every) {
       if (waves_claimed.compare_exchange_weak(claimed, claimed + 1,
                                               std::memory_order_relaxed)) {
-        for (std::size_t s = 0; s < config.sites; ++s) {
-          server.swap_site(site_ids[s], make_site_locator(*scenarios[s]));
+        for (std::size_t s = 0; s < sites.size(); ++s) {
+          server.swap_site(site_ids[s], sites[s].locator);
         }
         waves.fetch_add(1, std::memory_order_relaxed);
         if (progress.load(std::memory_order_relaxed) < total_scans) {
@@ -194,7 +205,7 @@ ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
   const Clock::time_point start = Clock::now();
   concurrency::parallel_for(pool, 0, work.size(), [&](std::size_t w) {
     const auto [site, device] = work[w];
-    const ScanTrace& trace = traces[site];
+    const ScanTrace& trace = sites[site].trace;
     DeviceSlot& slot = slots[w];
     const serve::DeviceId id = device_id(site, device);
     slot.errors_ft.reserve(by_device[site][device].size());
@@ -222,51 +233,17 @@ ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
   result.swap_waves = waves.load();
   result.swap_waves_under_load = waves_under_load.load();
 
-  // --- Per-tick campus fleet frames (optional) ---------------------
-  if (!config.frames_dir.empty() && config.campus_sites > 0 &&
-      !scenarios.empty()) {
-    std::filesystem::create_directories(config.frames_dir);
-    const FleetFrameBuilder frames(*scenarios[0]);
-    floorplan::FleetCompositorOptions compositor_options;
-    compositor_options.pool = &pool;
-    const floorplan::FleetCompositor compositor(compositor_options);
-    const std::size_t every = std::max<std::size_t>(1, config.frame_every_ticks);
-    const std::size_t ticks = frames.tick_count(traces[0]);
-    for (std::size_t tick = 0; tick < ticks; tick += every) {
-      const image::Raster frame =
-          compositor.render(frames.frame(traces[0], tick));
-      char name[32];
-      std::snprintf(name, sizeof(name), "frame-%04zu.bmp", tick);
-      image::write_bmp(std::filesystem::path(config.frames_dir) / name,
-                       frame);
-      ++result.frames_written;
-    }
-  }
-
   // --- Assemble the deterministic reports -------------------------
   RunReport& report = result.report;
-  report.scenario = "server-soak-" + std::to_string(config.sites) + "x" +
-                    std::to_string(config.devices_per_site) + "x" +
-                    std::to_string(config.scans_per_device) + "-seed" +
-                    std::to_string(config.seed);
-  if (config.campus_sites > 0) {
-    report.scenario +=
-        "-campus" + std::to_string(std::min(config.campus_sites, config.sites));
-  }
-  report.device_count =
-      static_cast<std::uint32_t>(config.sites * config.devices_per_site);
   report.scans_replayed = total_scans;
 
-  result.site_reports.resize(config.sites);
+  result.site_reports.resize(sites.size());
   std::vector<double> latencies;
   latencies.reserve(total_scans);
   for (std::size_t w = 0; w < work.size(); ++w) {
     const auto [site, device] = work[w];
     const DeviceSlot& slot = slots[w];
     RunReport& site_report = result.site_reports[site];
-    site_report.scenario = traces[site].scenario;
-    site_report.device_count = traces[site].device_count;
-    site_report.scans_replayed = traces[site].scans.size();
     site_report.valid_fixes += slot.valid;
     site_report.degraded_fixes += slot.degraded;
     site_report.invalid_fixes += slot.invalid;
@@ -277,18 +254,24 @@ ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
                      slot.on_scan_s.end());
   }
   std::uint64_t non_finite_samples = 0;
-  for (std::size_t s = 0; s < config.sites; ++s) {
+  for (std::size_t s = 0; s < sites.size(); ++s) {
+    const ScanTrace& trace = sites[s].trace;
     RunReport& site_report = result.site_reports[s];
+    site_report.scenario = trace.scenario;
+    site_report.device_count = trace.device_count;
+    site_report.scans_replayed = trace.scans.size();
     // Rejected samples are deterministic properties of the trace (the
     // session drops exactly the non-finite ones); the metric
     // cross-check below confirms the live counters agree.
-    for (const TraceScan& ts : traces[s].scans) {
+    for (const TraceScan& ts : trace.scans) {
       for (const radio::ScanSample& sample : ts.scan.samples) {
         if (!std::isfinite(sample.rssi_dbm)) ++site_report.rejected_samples;
       }
     }
     non_finite_samples += site_report.rejected_samples;
     std::sort(site_report.errors_ft.begin(), site_report.errors_ft.end());
+    report.scenario += (s == 0 ? "" : "+") + site_report.scenario;
+    report.device_count += site_report.device_count;
     report.valid_fixes += site_report.valid_fixes;
     report.degraded_fixes += site_report.degraded_fixes;
     report.invalid_fixes += site_report.invalid_fixes;
@@ -331,6 +314,11 @@ ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
         format_violation("every non-finite sample must be rejected",
                          non_finite_samples,
                          service_rejected.value() - service_rejected_before));
+  check(service_degraded.value() - service_degraded_before ==
+            report.degraded_fixes,
+        format_violation("metric service.degraded_fixes delta",
+                         report.degraded_fixes,
+                         service_degraded.value() - service_degraded_before));
   check(result.swap_waves == planned_waves,
         format_violation("every planned swap wave must run",
                          planned_waves, result.swap_waves));
@@ -338,7 +326,7 @@ ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
         format_violation("uncaught pool errors during soak", 0,
                          pool.uncaught_task_errors() - pool_errors_before));
 
-  for (std::size_t s = 0; s < config.sites; ++s) {
+  for (std::size_t s = 0; s < sites.size(); ++s) {
     server.reclaim(site_ids[s]);
     const serve::SiteStats stats = server.stats(site_ids[s]);
     result.max_generation = std::max(result.max_generation, stats.generation);
@@ -351,9 +339,9 @@ ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
     check(stats.generation == planned_waves + 1,
           format_violation((prefix + "snapshot generation").c_str(),
                            planned_waves + 1, stats.generation));
-    check(stats.sessions == config.devices_per_site,
+    check(stats.sessions == scanning_devices[s],
           format_violation((prefix + "one session per device").c_str(),
-                           config.devices_per_site, stats.sessions));
+                           scanning_devices[s], stats.sessions));
     check(stats.retired_snapshots == 0,
           format_violation(
               (prefix + "all retired snapshots reclaimed").c_str(), 0,
@@ -376,6 +364,45 @@ ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
     result.violations.push_back(buf);
   }
 
+  return result;
+}
+
+ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
+  const SoakWorkload workload = synthesize_soak_workload(config);
+  ServerSoakResult result = replay_server_soak(workload.sites, config);
+
+  // --- Per-tick campus fleet frames (optional) ---------------------
+  if (!config.frames_dir.empty() && config.campus_sites > 0 &&
+      !workload.scenarios.empty()) {
+    std::filesystem::create_directories(config.frames_dir);
+    const ScanTrace& trace = workload.sites[0].trace;
+    const FleetFrameBuilder frames(*workload.scenarios[0]);
+    floorplan::FleetCompositorOptions compositor_options;
+    compositor_options.pool =
+        config.pool ? config.pool : &concurrency::default_pool();
+    const floorplan::FleetCompositor compositor(compositor_options);
+    const std::size_t every =
+        std::max<std::size_t>(1, config.frame_every_ticks);
+    const std::size_t ticks = frames.tick_count(trace);
+    for (std::size_t tick = 0; tick < ticks; tick += every) {
+      const image::Raster frame = compositor.render(frames.frame(trace, tick));
+      char name[32];
+      std::snprintf(name, sizeof(name), "frame-%04zu.bmp", tick);
+      image::write_bmp(std::filesystem::path(config.frames_dir) / name,
+                       frame);
+      ++result.frames_written;
+    }
+  }
+
+  result.report.scenario =
+      "server-soak-" + std::to_string(config.sites) + "x" +
+      std::to_string(config.devices_per_site) + "x" +
+      std::to_string(config.scans_per_device) + "-seed" +
+      std::to_string(config.seed);
+  if (config.campus_sites > 0) {
+    result.report.scenario +=
+        "-campus" + std::to_string(std::min(config.campus_sites, config.sites));
+  }
   return result;
 }
 

@@ -1,45 +1,67 @@
 #pragma once
 
 /// \file server_soak.hpp
-/// The server-level load generator: many sites × many devices through
-/// one `serve::LocationServer`, with hot swaps landing under load.
+/// The soak harness: many sites × many devices through one
+/// `serve::LocationServer`, with hot swaps landing under load.
 ///
-/// This extends the per-locator fleet soak (soak.hpp) up one layer: a
-/// multi-venue workload is synthesized (one `Scenario` per site, each
-/// with its own fleet and fault schedule), every device replays its
-/// recorded scans through `LocationServer::on_scan` on a shared thread
-/// pool, and — the part the fleet soak cannot exercise — every site's
-/// snapshot is repeatedly republished while the traffic runs: the
-/// worker whose scan crosses a swap-wave boundary performs the wave
-/// inline while the rest of the fleet keeps scanning through it.
+/// A run has two halves. Synthesis (`synthesize_soak_workload`) builds
+/// one `Scenario` per site, each with its own fleet and fault
+/// schedule, records its scan trace, and compiles the site's locator.
+/// The replay (`replay_server_soak`) takes any list of (trace,
+/// locator) sites — synthesized, or a single trace and locator a test
+/// built itself — and replays every device's recorded scans through
+/// `LocationServer::on_scan` (one `LocationService` session per
+/// device) on a shared thread pool. Every site's snapshot is
+/// repeatedly republished while the traffic runs: the worker whose
+/// scan crosses a swap-wave boundary performs the wave inline while
+/// the rest of the fleet keeps scanning through it.
 ///
-/// Determinism under swaps: each swap installs a locator freshly
-/// *recompiled from the same training database* (what a production
-/// republish of an unchanged survey does), so the answer stream is
-/// independent of exactly when a swap lands relative to any scan. That
-/// is what lets the byte-determinism gate (`RunReport` equal across
-/// thread counts) coexist with genuinely concurrent swap traffic. The
-/// swap *machinery* still takes the full beating: pointer publication,
-/// epoch bumps, retirement, and reclamation all race live readers, and
-/// TSan watches.
+/// The run is judged twice —
 ///
-/// Invariants checked on top of the fleet soak's: per-shard scan
-/// counters sum to the replayed count, every planned swap was
-/// performed, all retired snapshots were reclaimed by the end, session
-/// tables hold exactly one session per device, and zero reader stalls
-/// (no reader pinned across two consecutive swaps).
+///  * the **deterministic report** (`RunReport`): tallies and the
+///    accuracy CDF, assembled from per-device slots merged in (site,
+///    device) order, so it is identical for 1 thread or 64;
+///  * the **invariants** (`ServerSoakResult::violations`): the fix
+///    partition sums to the scan count; the `service.scans`,
+///    `service.rejected_samples` and `service.degraded_fixes` metric
+///    deltas match the report; every non-finite sample was rejected;
+///    zero uncaught pool errors; per-shard scan counters sum to the
+///    replayed count; every planned swap was performed; all retired
+///    snapshots were reclaimed by the end; session tables hold exactly
+///    one session per scanning device; zero reader stalls (no reader
+///    pinned across two consecutive swaps); bounded p99 on_scan
+///    latency. An empty list is the pass signal; CI fails on anything
+///    else.
+///
+/// Determinism under swaps: each swap wave republishes the site's own
+/// locator (what a production republish of an unchanged survey
+/// installs), so the answer stream is independent of exactly when a
+/// swap lands relative to any scan. That is what lets the
+/// byte-determinism gate (`RunReport` equal across thread counts)
+/// coexist with genuinely concurrent swap traffic. The swap
+/// *machinery* still takes the full beating: pointer publication,
+/// epoch bumps, retirement, and reclamation all race live readers,
+/// and TSan watches.
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "concurrency/thread_pool.hpp"
 #include "core/location_service.hpp"
+#include "core/locator.hpp"
 #include "testkit/run_report.hpp"
+#include "testkit/scenario.hpp"
+#include "testkit/trace.hpp"
 
 namespace loctk::testkit {
 
+/// Synthesis reads the workload shape (`sites` to `campus_train_scans`,
+/// and `fault_schedule`); the replay reads `service`, `pool`,
+/// `swap_every_scans` and `max_p99_on_scan_s`; `run_server_soak` also
+/// reads the frame fields.
 struct ServerSoakConfig {
   std::size_t sites = 4;
   std::size_t devices_per_site = 16;
@@ -48,9 +70,9 @@ struct ServerSoakConfig {
   /// The first `campus_sites` sites (clamped to `sites`) are
   /// synthesized as multi-floor campuses (ScenarioSpec::campus_fleet:
   /// 1000+ APs, per-floor attenuation, heterogeneous device offsets)
-  /// instead of single-floor fleets; everything after synthesis —
-  /// replay, swaps, invariants — is site-agnostic, so the campus sites
-  /// stress the server with genuinely large universes and snapshots.
+  /// instead of single-floor fleets; the replay is site-agnostic, so
+  /// the campus sites stress the server with genuinely large universes
+  /// and snapshots.
   std::size_t campus_sites = 0;
   /// Survey scans per room for campus sites. A campus survey covers
   /// 240 rooms, so the single-site default of 90 would dominate the
@@ -80,9 +102,13 @@ struct ServerSoakConfig {
   std::size_t frame_every_ticks = 1;
 };
 
+/// Everything a soak run produced. Only the reports are deterministic;
+/// the latency figures depend on the machine and are reported beside
+/// them, never inside them.
 struct ServerSoakResult {
   /// Combined deterministic report (sites merged in site order,
-  /// devices in device order). Byte-equal across thread counts.
+  /// devices in device order). Byte-equal across thread counts. For a
+  /// one-site replay it equals `site_reports[0]`.
   RunReport report;
   /// Per-site deterministic reports, index-aligned with site ids.
   std::vector<RunReport> site_reports;
@@ -103,7 +129,34 @@ struct ServerSoakResult {
   bool ok() const { return violations.empty(); }
 };
 
-/// Synthesizes the multi-site workload, runs it, and judges it.
+/// One site of a replay: the recorded trace its fleet replays and the
+/// locator it serves. Every swap wave republishes `locator`, which is
+/// shared by all of the site's devices concurrently — its locate path
+/// must be const-thread-safe (every toolkit locator is).
+struct SoakSite {
+  ScanTrace trace;
+  std::shared_ptr<const core::Locator> locator;
+};
+
+/// The synthesized workload: `sites[s]` replays the trace
+/// `scenarios[s]` recorded, against a pruned §5.1 locator compiled
+/// from that scenario's survey.
+struct SoakWorkload {
+  std::vector<std::unique_ptr<Scenario>> scenarios;
+  std::vector<SoakSite> sites;
+};
+
+SoakWorkload synthesize_soak_workload(const ServerSoakConfig& config);
+
+/// Replays `sites` through one server, republishing every site each
+/// swap wave, and judges the run. The combined report's scenario is
+/// the site scenarios joined by '+'.
+ServerSoakResult replay_server_soak(const std::vector<SoakSite>& sites,
+                                    const ServerSoakConfig& config = {});
+
+/// Synthesizes the multi-site workload, replays it, renders the
+/// optional campus frames, and names the combined report after the
+/// config.
 ServerSoakResult run_server_soak(const ServerSoakConfig& config = {});
 
 }  // namespace loctk::testkit

@@ -96,10 +96,9 @@ TEST(CampusConformance, PrunedPathZeroTop1DisagreementsAtScale) {
   ASSERT_FALSE(observations.empty());
   core::ProbabilisticConfig prune_config;
   prune_config.prune_top_k = 32;
-  prune_config.prune_strongest_aps = 4;
   const PrunedDifferentialReport report = run_pruned_differential(
       campus_scenario().database(), observations, prune_config);
-  EXPECT_EQ(report.compared, observations.size() * 2);
+  EXPECT_EQ(report.compared, observations.size());
   EXPECT_TRUE(report.ok()) << report.to_text();
   EXPECT_EQ(report.agreement_rate(), 1.0);
 }
@@ -111,7 +110,6 @@ TEST(CampusConformance, FloorSelectionAccuracyAndPerFloorErrorBands) {
   for (const auto& db : scenario.floor_databases()) floors.push_back(&db);
   core::ProbabilisticConfig config;
   config.prune_top_k = 32;
-  config.prune_strongest_aps = 4;
   const core::FloorSelector selector(floors, config);
   ASSERT_EQ(selector.floor_count(), campus.floor_count());
 

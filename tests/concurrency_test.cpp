@@ -162,10 +162,32 @@ TEST(ThreadPool, PostedThrowingTaskDoesNotKillThePool) {
   }
   // ...and submit()ed (the future also proves the workers are alive).
   EXPECT_EQ(pool.submit([] { return 41 + 1; }).get(), 42);
-  while (ran.load() < 8) {
-    std::this_thread::yield();
-  }
+  // The throwing task's worker-side catch must happen-before the read
+  // below; the other tasks finishing proves nothing about it.
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), 8);
   EXPECT_EQ(pool.uncaught_task_errors(), 1u);
+}
+
+TEST(ThreadPool, WaitIdleReturnsAfterEveryTaskAndItsErrorHandling) {
+  ThreadPool pool(4);
+  std::atomic<int> callbacks{0};
+  pool.set_error_callback([&](std::exception_ptr) { callbacks.fetch_add(1); });
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 64; ++i) {
+    if (i % 8 == 0) {
+      pool.post([] { throw std::runtime_error("boom"); });
+    } else {
+      pool.post([&] { ran.fetch_add(1); });
+    }
+  }
+  pool.wait_idle();
+  EXPECT_EQ(pool.pending(), 0u);
+  EXPECT_EQ(ran.load(), 56);
+  EXPECT_EQ(pool.uncaught_task_errors(), 8u);
+  EXPECT_EQ(callbacks.load(), 8);
+  // An idle pool returns at once.
+  pool.wait_idle();
 }
 
 TEST(ThreadPool, ErrorCallbackSeesTheEscapedException) {

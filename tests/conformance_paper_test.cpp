@@ -23,7 +23,7 @@
 #include "testkit/differential.hpp"
 #include "testkit/golden.hpp"
 #include "testkit/scenario.hpp"
-#include "testkit/soak.hpp"
+#include "testkit/server_soak.hpp"
 #include "testkit/trace.hpp"
 
 namespace loctk::testkit {
@@ -45,7 +45,6 @@ const PaperGoldenSummary& pruned_golden() {
   static const PaperGoldenSummary summary = [] {
     core::ProbabilisticConfig config;
     config.prune_top_k = 8;
-    config.prune_strongest_aps = 4;
     return run_paper_golden(20, config);
   }();
   return summary;
@@ -95,9 +94,11 @@ TEST(ConformanceReplay, TraceReplaysBitForBitWithIdenticalReports) {
   const Result<ScanTrace> decoded = try_decode_trace(bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
 
-  const core::ProbabilisticLocator locator(scenario.database());
-  const SoakResult from_original = run_fleet_soak(trace, locator);
-  const SoakResult from_decoded = run_fleet_soak(decoded.value(), locator);
+  const auto locator =
+      std::make_shared<core::ProbabilisticLocator>(scenario.database());
+  const ServerSoakResult from_original = replay_server_soak({{trace, locator}});
+  const ServerSoakResult from_decoded =
+      replay_server_soak({{decoded.value(), locator}});
   EXPECT_TRUE(from_original.ok());
   EXPECT_TRUE(from_decoded.ok());
   EXPECT_EQ(from_original.report, from_decoded.report);
@@ -136,9 +137,7 @@ TEST(ConformanceDifferential, PrunedPathZeroTop1Disagreements) {
   // The coarse-to-fine pruner scores candidates with the exact
   // kernel, so any top-1 disagreement means the true winner was
   // pruned out of the candidate set — conformance demands none on a
-  // fleet-scale trace. k-NN is the stricter twin: its position is a
-  // weighted average over all k neighbors, so the candidate set must
-  // recall every one of the true top-3, not just the winner.
+  // fleet-scale trace.
   const Scenario scenario(ScenarioSpec::fleet(8, 30, /*seed=*/92,
                                               SiteModel::kOfficeFloor));
   const auto observations =
@@ -146,10 +145,9 @@ TEST(ConformanceDifferential, PrunedPathZeroTop1Disagreements) {
   ASSERT_FALSE(observations.empty());
   core::ProbabilisticConfig prune_config;
   prune_config.prune_top_k = 24;
-  prune_config.prune_strongest_aps = 4;
   const PrunedDifferentialReport report = run_pruned_differential(
       scenario.database(), observations, prune_config);
-  EXPECT_EQ(report.compared, observations.size() * 2);
+  EXPECT_EQ(report.compared, observations.size());
   EXPECT_TRUE(report.ok()) << report.to_text();
   EXPECT_EQ(report.agreement_rate(), 1.0);
 }

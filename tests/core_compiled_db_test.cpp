@@ -367,16 +367,6 @@ TEST(CompiledBatch, LocateBatchMatchesSerialAndParallel) {
     EXPECT_EQ(parallel[i].location_name, one.location_name) << i;
     EXPECT_EQ(parallel[i].score, one.score) << i;
   }
-
-  const auto per_point = locator.score_batch(batch, &pool);
-  ASSERT_EQ(per_point.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto direct = locator.score_all(batch[i]);
-    ASSERT_EQ(per_point[i].size(), direct.size());
-    for (std::size_t p = 0; p < direct.size(); ++p) {
-      EXPECT_EQ(per_point[i][p].log_likelihood, direct[p].log_likelihood);
-    }
-  }
 }
 
 TEST(CompiledBatch, LocationServiceBatchEntryPoint) {

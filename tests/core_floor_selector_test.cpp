@@ -246,7 +246,6 @@ TEST(FloorSelector, PrunedAndSharedCompilationAgreeWithExact) {
 
   ProbabilisticConfig pruned_cfg;
   pruned_cfg.prune_top_k = 8;
-  pruned_cfg.prune_strongest_aps = 4;
   const FloorSelector pruned(ptrs(fx.dbs), pruned_cfg);
 
   std::vector<std::shared_ptr<const CompiledDatabase>> shared;

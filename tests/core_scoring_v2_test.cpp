@@ -25,7 +25,6 @@
 #include "base/metrics.hpp"
 #include "base/simd.hpp"
 #include "core/candidate_pruner.hpp"
-#include "core/knn.hpp"
 #include "core/probabilistic.hpp"
 #include "core/score_kernels.hpp"
 #include "radio/access_point.hpp"
@@ -271,9 +270,9 @@ TEST(CandidatePruner, SmallDatabaseIsDegenerate) {
   const auto db = testing::make_fixture_db();
   const auto compiled = CompiledDatabase::compile(db);
   // top_k >= point count: pruning cannot shrink the work.
-  const CandidatePruner pruner(compiled,
-                               {.strongest_aps = 3,
-                                .top_k = static_cast<int>(db.size())});
+  const ProbabilisticLocator locator(
+      compiled, {.prune_top_k = static_cast<int>(db.size())});
+  const CandidatePruner& pruner = *locator.pruner();
   const Observation obs = testing::fixture_observation({10.0, 10.0});
   EXPECT_TRUE(pruner.select(compiled->compile_observation(obs)).empty());
 }
@@ -285,7 +284,8 @@ TEST(CandidatePruner, SelectsBoundedSortedCandidates) {
       4, 16, 71, testkit::SiteModel::kOfficeFloor));
   const auto compiled = CompiledDatabase::compile(scenario.database());
   ASSERT_GT(compiled->point_count(), 16u);
-  const CandidatePruner pruner(compiled, {.strongest_aps = 3, .top_k = 16});
+  const ProbabilisticLocator locator(compiled, {.prune_top_k = 16});
+  const CandidatePruner& pruner = *locator.pruner();
   const auto observations = testkit::observations_from_trace(
       scenario.record_trace(), 8);
   ASSERT_FALSE(observations.empty());
@@ -312,7 +312,10 @@ TEST(CandidatePruner, SelectsBoundedSortedCandidates) {
 TEST(CandidatePruner, DegenerateQueriesFallBackToFullPass) {
   const testkit::Scenario scenario(testkit::ScenarioSpec::fleet(2, 8, 72));
   const auto compiled = CompiledDatabase::compile(scenario.database());
-  const CandidatePruner pruner(compiled, {.strongest_aps = 3, .top_k = 8});
+  ProbabilisticConfig pruned_cfg;
+  pruned_cfg.prune_top_k = 8;
+  const ProbabilisticLocator pruned(compiled, pruned_cfg);
+  const CandidatePruner& pruner = *pruned.pruner();
 
   // Empty observation: no in-universe slots.
   EXPECT_TRUE(
@@ -329,9 +332,6 @@ TEST(CandidatePruner, DegenerateQueriesFallBackToFullPass) {
 
   // ...and the locator-level contract: pruning never invalidates an
   // answer (it falls back to the exact full pass instead).
-  ProbabilisticConfig pruned_cfg;
-  pruned_cfg.prune_top_k = 8;
-  const ProbabilisticLocator pruned(compiled, pruned_cfg);
   const ProbabilisticLocator exact(compiled);
   const LocationEstimate a = pruned.locate(nan_obs);
   const LocationEstimate b = exact.locate(nan_obs);
@@ -347,35 +347,12 @@ TEST(CandidatePruner, PrunedLocateAgreesWithExactOnFleetScenario) {
   ASSERT_FALSE(observations.empty());
   ProbabilisticConfig pruned_cfg;
   pruned_cfg.prune_top_k = 24;
-  pruned_cfg.prune_strongest_aps = 4;
   const testkit::PrunedDifferentialReport report =
       testkit::run_pruned_differential(scenario.database(), observations,
                                        pruned_cfg);
-  EXPECT_EQ(report.compared, observations.size() * 2);
+  EXPECT_EQ(report.compared, observations.size());
   EXPECT_TRUE(report.ok()) << report.to_text();
   EXPECT_EQ(report.agreement_rate(), 1.0);
-}
-
-TEST(CandidatePruner, KnnPrunedScoresAreExact) {
-  const testkit::Scenario scenario(testkit::ScenarioSpec::fleet(
-      3, 16, 74, testkit::SiteModel::kOfficeFloor));
-  const auto compiled = CompiledDatabase::compile(scenario.database());
-  const KnnLocator exact(compiled, {.k = 1});
-  const KnnLocator pruned(compiled,
-                          {.k = 1, .prune_top_k = 24,
-                           .prune_strongest_aps = 4});
-  const auto observations = testkit::observations_from_trace(
-      scenario.record_trace(), 8);
-  for (const Observation& obs : observations) {
-    const LocationEstimate e = exact.locate(obs);
-    const LocationEstimate p = pruned.locate(obs);
-    ASSERT_EQ(e.valid, p.valid);
-    if (!e.valid) continue;
-    // The pruned winner's distance is computed by the same exact
-    // kernel, so agreement means bit-equal scores.
-    EXPECT_EQ(e.location_name, p.location_name);
-    EXPECT_EQ(e.score, p.score);
-  }
 }
 
 TEST(CandidatePruner, ExportsEffectivenessMetrics) {
@@ -460,7 +437,12 @@ TEST(CandidatePruner, HandlesAThousandSlotUniverse) {
   const auto compiled = CompiledDatabase::compile(db);
   ASSERT_GT(compiled->universe_size(), 1000u);
 
-  const CandidatePruner pruner(compiled, {.strongest_aps = 4, .top_k = 8});
+  // Pruned and exact probabilistic locates agree across the universe.
+  ProbabilisticConfig pruned_cfg;
+  pruned_cfg.prune_top_k = 8;
+  const ProbabilisticLocator exact(compiled);
+  const ProbabilisticLocator pruned(compiled, pruned_cfg);
+  const CandidatePruner& pruner = *pruned.pruner();
   for (const int first : {0, 511, 1010}) {
     const Observation obs = wide_observation(first, 8);
     const CompiledObservation q = compiled->compile_observation(obs);
@@ -475,11 +457,6 @@ TEST(CandidatePruner, HandlesAThousandSlotUniverse) {
         << "window at " << first;
   }
 
-  // Pruned and exact probabilistic locates agree across the universe.
-  ProbabilisticConfig pruned_cfg;
-  pruned_cfg.prune_top_k = 8;
-  const ProbabilisticLocator exact(compiled);
-  const ProbabilisticLocator pruned(compiled, pruned_cfg);
   for (const int first : {3, 700, 1020}) {
     const Observation obs = wide_observation(first, 10);
     const LocationEstimate a = exact.locate(obs);
@@ -491,65 +468,16 @@ TEST(CandidatePruner, HandlesAThousandSlotUniverse) {
   }
 }
 
-// The missing-fill term in the coarse ranking: a row that trained
-// every observed slot at close range must outrank a row that trained
-// only the seed slot — without the fill, the partial row's untouched
-// slots would cost nothing and it could crowd the real neighbors out
-// of the candidate set.
-TEST(CandidatePruner, CoarseRankChargesMissingSlotsAtScale) {
-  auto points = make_wide_universe_db().points();
-  // "full" trains the whole probe window 2 dB off; "partial" trains
-  // only its loudest slot, spot-on.
-  traindb::TrainingPoint full, partial;
-  full.location = "full";
-  full.position = {500.0, 50.0};
-  partial.location = "partial";
-  partial.position = {500.0, 60.0};
-  const int probe = 1030;
-  for (int a = probe; a < probe + 6; ++a) {
-    traindb::ApStatistics s;
-    s.bssid = radio::synthetic_bssid(a);
-    s.mean_dbm = -48.0;
-    s.stddev_db = 2.0;
-    s.sample_count = 30;
-    s.scan_count = 30;
-    s.min_dbm = -52.0;
-    s.max_dbm = -44.0;
-    full.per_ap.push_back(s);
-    if (a == probe) {
-      s.mean_dbm = -50.0;
-      partial.per_ap.push_back(s);
-    }
-  }
-  points.push_back(full);
-  points.push_back(partial);
-  const auto db = traindb::TrainingDatabase::from_points(std::move(points),
-                                                         "missing-fill");
-  const auto compiled = CompiledDatabase::compile(db);
-  const std::uint32_t full_row =
-      static_cast<std::uint32_t>(compiled->point_count() - 2);
-  const std::uint32_t partial_row = full_row + 1;
-
-  // Both rows are posted under the loudest observed slot; with a
-  // 1-candidate budget only the missing-fill charge separates them.
-  const CandidatePruner pruner(compiled, {.strongest_aps = 1, .top_k = 1});
-  const Observation obs = wide_observation(probe, 6, -50.0);
-  const auto candidates =
-      pruner.select(compiled->compile_observation(obs));
-  ASSERT_EQ(candidates.size(), 1u);
-  EXPECT_EQ(candidates.front(), full_row);
-  EXPECT_NE(candidates.front(), partial_row);
-}
-
 // Campus-scale recall regression: the likelihood charges a flat
 // penalty per visibility disagreement, so a sparsely trained row (one
 // exact AP, five cheap penalties) beats a densely trained row that
-// misfits every observed AP by 15 dB. The gap-metric union never even
-// visits that row — it is not posted under the strongest observed AP —
-// which is exactly how the pruned path lost top-1 parity on generated
-// campuses. The probabilistic locator's pruner now ranks with the
-// locator's own restricted score (ML coarse mode) and must recover
-// the sparse winner bit for bit.
+// misfits every observed AP by 15 dB. A pruner that seeds candidates
+// from the strongest observed APs only never even visits that row —
+// it is not posted under the strongest observed AP — which is exactly
+// how the pruned path once lost top-1 parity on generated campuses.
+// The pruner seeds from every observed AP and ranks with the
+// locator's own restricted score, so it must recover the sparse
+// winner bit for bit.
 TEST(CandidatePruner, MlModeRecallsSparseWinnerTheGapMetricPrunes) {
   auto trained = [](int ap, double mean) {
     traindb::ApStatistics s;
@@ -589,16 +517,9 @@ TEST(CandidatePruner, MlModeRecallsSparseWinnerTheGapMetricPrunes) {
   ASSERT_TRUE(e.valid);
   ASSERT_EQ(e.location_name, "sparse");
 
-  // The gap metric's candidate union misses the exact winner.
-  const CandidatePruner gap(compiled, {.strongest_aps = 1, .top_k = 1});
-  const auto gap_candidates = gap.select(compiled->compile_observation(obs));
-  ASSERT_EQ(gap_candidates.size(), 1u);
-  EXPECT_NE(gap_candidates.front(), 2u);
-
-  // The pruned locator (ML coarse mode) must not.
+  // The pruned locator must keep the exact winner.
   ProbabilisticConfig pruned_cfg;
   pruned_cfg.prune_top_k = 1;
-  pruned_cfg.prune_strongest_aps = 1;
   const ProbabilisticLocator pruned(compiled, pruned_cfg);
   const LocationEstimate p = pruned.locate(obs);
   ASSERT_TRUE(p.valid);

@@ -7,7 +7,9 @@
 //    reclamation, session counts, zero reader stalls);
 //  * the combined RunReport is byte-identical across thread counts —
 //    concurrency and hot swaps must not leak into the answers;
-//  * swaps genuinely landed while traffic was in flight.
+//  * swaps genuinely landed while traffic was in flight;
+//  * the two entry points agree: replaying a synthesized site gives
+//    the report run_server_soak gives that site.
 
 #include "testkit/server_soak.hpp"
 
@@ -116,6 +118,25 @@ TEST(ServerSoak, CampusSitesMixIntoTheFleetAndStayDeterministic) {
   ASSERT_TRUE(eight.ok());
   EXPECT_EQ(one.report, eight.report);
   EXPECT_EQ(one.report.to_json(), eight.report.to_json());
+}
+
+TEST(ServerSoak, ReplayOfASynthesizedSiteMatchesRunServerSoak) {
+  ServerSoakConfig config = small_config();
+  config.sites = 1;
+  const ServerSoakResult run = run_server_soak(config);
+  ASSERT_TRUE(run.ok());
+  ASSERT_EQ(run.site_reports.size(), 1u);
+
+  const SoakWorkload workload = synthesize_soak_workload(config);
+  ASSERT_EQ(workload.sites.size(), 1u);
+  const ServerSoakResult replay =
+      replay_server_soak(workload.sites, config);
+  for (const std::string& v : replay.violations) {
+    ADD_FAILURE() << "invariant violated: " << v;
+  }
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(replay.report, run.site_reports[0]);
+  EXPECT_EQ(replay.report.to_json(), run.site_reports[0].to_json());
 }
 
 TEST(ServerSoak, FaultScheduleRejectsSamplesDeterministically) {

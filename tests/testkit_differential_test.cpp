@@ -90,12 +90,11 @@ TEST(DifferentialOracle, PrunedPathAgreesWithExactOnRecordedTrace) {
   ASSERT_FALSE(observations.empty());
   core::ProbabilisticConfig prune_config;
   prune_config.prune_top_k = 24;
-  prune_config.prune_strongest_aps = 4;
   const PrunedDifferentialReport report = run_pruned_differential(
       scenario.database(), observations, prune_config);
   EXPECT_EQ(report.observations, observations.size());
-  // 2 locator pairs (probabilistic, knn-3), pruned vs exact.
-  EXPECT_EQ(report.compared, observations.size() * 2);
+  // One locator pair (probabilistic), pruned vs exact.
+  EXPECT_EQ(report.compared, observations.size());
   EXPECT_TRUE(report.ok()) << report.to_text();
   EXPECT_EQ(report.agreement_rate(), 1.0);
 }

@@ -1,11 +1,12 @@
 // Fleet-scale soak (ctest label: soak): >= 64 concurrent simulated
-// devices replayed through per-device LocationService sessions on the
-// default pool, with the full invariant battery and a fault schedule
-// mixed in. The scheduled CI job runs this suite under TSan — the
-// per-device services share one locator, so any unsynchronized state
-// in the locate path surfaces here.
+// devices replayed as one site through the soak replay (one
+// LocationService session per device) on the default pool, with the
+// full invariant battery and a fault schedule mixed in. The scheduled
+// CI job runs this suite under TSan — the per-device sessions share
+// one locator, so any unsynchronized state in the locate path
+// surfaces here.
 
-#include "testkit/soak.hpp"
+#include "testkit/server_soak.hpp"
 
 #include <cstdio>
 
@@ -45,13 +46,15 @@ TEST(FleetSoakFull, SixtyFourDevicesZeroInvariantViolations) {
   const ScanTrace trace = scenario.record_trace();
   ASSERT_GE(trace.device_count, 64u);
 
-  const core::ProbabilisticLocator locator(scenario.database());
-  SoakConfig config;
+  const auto locator =
+      std::make_shared<core::ProbabilisticLocator>(scenario.database());
+  ServerSoakConfig config;
   // Generous bound: the scheduled job runs this under TSan on shared
   // CI machines. The quick-tier soak tests keep the tight default.
   config.max_p99_on_scan_s = 5.0;
 
-  const SoakResult result = run_fleet_soak(trace, locator, config);
+  const ServerSoakResult result =
+      replay_server_soak({{trace, locator}}, config);
   for (const std::string& v : result.violations) ADD_FAILURE() << v;
   EXPECT_TRUE(result.ok());
 
@@ -68,12 +71,14 @@ TEST(FleetSoakFull, SixtyFourDevicesZeroInvariantViolations) {
 TEST(FleetSoakFull, ReportIdenticalAcrossConcurrentReplays) {
   const Scenario scenario(fleet_spec());
   const ScanTrace trace = scenario.record_trace();
-  const core::ProbabilisticLocator locator(scenario.database());
-  SoakConfig config;
+  const std::vector<SoakSite> sites = {
+      {trace,
+       std::make_shared<core::ProbabilisticLocator>(scenario.database())}};
+  ServerSoakConfig config;
   config.max_p99_on_scan_s = 5.0;
 
-  const SoakResult once = run_fleet_soak(trace, locator, config);
-  const SoakResult twice = run_fleet_soak(trace, locator, config);
+  const ServerSoakResult once = replay_server_soak(sites, config);
+  const ServerSoakResult twice = replay_server_soak(sites, config);
   EXPECT_TRUE(once.ok());
   EXPECT_TRUE(twice.ok());
   EXPECT_EQ(once.report, twice.report);

@@ -1,8 +1,8 @@
-// Quick-tier tests for the fleet soak driver: invariants hold on a
-// small fleet, the run report is deterministic across replays and
+// Quick-tier tests for the soak replay on one fleet: invariants hold
+// on a small fleet, the run report is deterministic across replays and
 // thread counts, and the fault/degraded accounting is exact.
 
-#include "testkit/soak.hpp"
+#include "testkit/server_soak.hpp"
 
 #include <algorithm>
 #include <memory>
@@ -18,17 +18,19 @@ namespace {
 struct SmallFleet {
   SmallFleet() : scenario(ScenarioSpec::fleet(6, 20, /*seed=*/11)) {
     trace = scenario.record_trace();
-    locator = std::make_unique<core::ProbabilisticLocator>(
+    locator = std::make_shared<core::ProbabilisticLocator>(
         scenario.database());
   }
+  /// The fleet as a one-site replay.
+  std::vector<SoakSite> sites() const { return {{trace, locator}}; }
   Scenario scenario;
   ScanTrace trace;
-  std::unique_ptr<core::ProbabilisticLocator> locator;
+  std::shared_ptr<const core::Locator> locator;
 };
 
 TEST(FleetSoak, SmallFleetPassesAllInvariants) {
   SmallFleet f;
-  const SoakResult result = run_fleet_soak(f.trace, *f.locator);
+  const ServerSoakResult result = replay_server_soak(f.sites());
   for (const std::string& v : result.violations) ADD_FAILURE() << v;
   EXPECT_TRUE(result.ok());
 
@@ -48,8 +50,8 @@ TEST(FleetSoak, SmallFleetPassesAllInvariants) {
 
 TEST(FleetSoak, ReportIsIdenticalAcrossReplays) {
   SmallFleet f;
-  const SoakResult once = run_fleet_soak(f.trace, *f.locator);
-  const SoakResult twice = run_fleet_soak(f.trace, *f.locator);
+  const ServerSoakResult once = replay_server_soak(f.sites());
+  const ServerSoakResult twice = replay_server_soak(f.sites());
   EXPECT_EQ(once.report, twice.report);
 }
 
@@ -57,12 +59,12 @@ TEST(FleetSoak, ReportIsThreadCountInvariant) {
   SmallFleet f;
   concurrency::ThreadPool one(1);
   concurrency::ThreadPool many(4);
-  SoakConfig serial;
+  ServerSoakConfig serial;
   serial.pool = &one;
-  SoakConfig parallel;
+  ServerSoakConfig parallel;
   parallel.pool = &many;
-  const SoakResult a = run_fleet_soak(f.trace, *f.locator, serial);
-  const SoakResult b = run_fleet_soak(f.trace, *f.locator, parallel);
+  const ServerSoakResult a = replay_server_soak(f.sites(), serial);
+  const ServerSoakResult b = replay_server_soak(f.sites(), parallel);
   EXPECT_TRUE(a.ok());
   EXPECT_TRUE(b.ok());
   EXPECT_EQ(a.report, b.report);
@@ -78,9 +80,10 @@ TEST(FleetSoak, CountsInjectedFaults) {
                          .kind = FaultEvent::Kind::kDropScan});
   const Scenario scenario(spec);
   const ScanTrace trace = scenario.record_trace();
-  const core::ProbabilisticLocator locator(scenario.database());
+  const auto locator =
+      std::make_shared<core::ProbabilisticLocator>(scenario.database());
 
-  const SoakResult result = run_fleet_soak(trace, locator);
+  const ServerSoakResult result = replay_server_soak({{trace, locator}});
   for (const std::string& v : result.violations) ADD_FAILURE() << v;
   EXPECT_EQ(result.report.scans_replayed, 4u * 15u - 1u);  // one dropped
   EXPECT_EQ(result.report.rejected_samples, 2u);  // one NaN sample each
@@ -88,18 +91,18 @@ TEST(FleetSoak, CountsInjectedFaults) {
 
 TEST(FleetSoak, LatencyBoundViolationIsReported) {
   SmallFleet f;
-  SoakConfig config;
+  ServerSoakConfig config;
   config.max_p99_on_scan_s = 1e-12;  // impossible bound
-  const SoakResult result = run_fleet_soak(f.trace, *f.locator, config);
+  const ServerSoakResult result = replay_server_soak(f.sites(), config);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.violations.front().find("p99"), std::string::npos);
 }
 
 TEST(FleetSoak, ReportSerializationIsStable) {
   SmallFleet f;
-  const SoakResult result = run_fleet_soak(f.trace, *f.locator);
+  const ServerSoakResult result = replay_server_soak(f.sites());
   const std::string json = result.report.to_json();
-  EXPECT_EQ(json, run_fleet_soak(f.trace, *f.locator).report.to_json());
+  EXPECT_EQ(json, replay_server_soak(f.sites()).report.to_json());
   EXPECT_NE(json.find("\"scans_replayed\""), std::string::npos);
   EXPECT_NE(json.find("\"errors_ft\""), std::string::npos);
   EXPECT_NE(result.report.to_text().find("run report"), std::string::npos);
