@@ -2,9 +2,9 @@
 // engine on a generated 2-building x 3-floor campus (1020 APs, 240
 // surveyed rooms) instead of the single-floor office corpus
 // perf_score_kernel uses. The interesting deltas live here, not
-// there: pruning only earns its keep past a few hundred rows, floor
-// selection folds six per-floor locators per fix, and compiling a
-// 1000-slot universe is the unit of work every snapshot swap pays.
+// there: the sparse scorer reads a few percent of a 240 x 1020 map,
+// floor selection folds six per-floor locators per fix, and compiling
+// a 1000-slot universe is the unit of work every snapshot swap pays.
 
 #include <benchmark/benchmark.h>
 
@@ -52,15 +52,10 @@ const CampusCorpus& campus() {
   return c;
 }
 
-core::ProbabilisticConfig pruned_config() {
-  core::ProbabilisticConfig config;
-  config.prune_top_k = 32;
-  return config;
-}
-
-// The exhaustive sweep over all 240 rows x 1020-slot rows: the cost
-// pruning is measured against.
-void BM_CampusLocate_Exhaustive(benchmark::State& state) {
+// The §5.1 locate over all 240 rows x 1020 slots. `bytes` is the
+// sparse scorer's CSR postings against `dense_bytes`, the two
+// points x stride Gaussian tables the dense sweep it replaced kept.
+void BM_CampusLocate(benchmark::State& state) {
   const CampusCorpus& c = campus();
   const core::ProbabilisticLocator locator(c.scenario.database());
   for (auto _ : state) {
@@ -70,33 +65,37 @@ void BM_CampusLocate_Exhaustive(benchmark::State& state) {
       static_cast<double>(c.scenario.database().size());
   state.counters["universe"] = static_cast<double>(
       c.scenario.database().bssid_universe().size());
+  state.counters["postings"] =
+      static_cast<double>(locator.posting_count());
+  state.counters["bytes"] = static_cast<double>(locator.scorer_bytes());
+  state.counters["dense_bytes"] = static_cast<double>(
+      2 * c.scenario.database().size() * locator.compiled().row_stride() *
+      sizeof(double));
 }
-BENCHMARK(BM_CampusLocate_Exhaustive)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CampusLocate)->Unit(benchmark::kMicrosecond);
 
-// Coarse-to-fine pruning (exact restricted likelihood over the
-// candidate union) — top-1 identical to the exhaustive sweep
-// by construction, so this line is pure speedup.
-void BM_CampusLocate_Pruned(benchmark::State& state) {
-  const CampusCorpus& c = campus();
-  const core::ProbabilisticLocator locator(c.scenario.database(),
-                                           pruned_config());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(locator.locate(c.observation));
-  }
-}
-BENCHMARK(BM_CampusLocate_Pruned)->Unit(benchmark::kMicrosecond);
-
-// Floor determination + in-floor fix: six per-floor pruned locates
-// plus the per-term normalized fold.
+// Floor determination + in-floor fix: six per-floor locates plus the
+// per-term normalized fold.
 void BM_CampusFloorSelect(benchmark::State& state) {
   const CampusCorpus& c = campus();
-  const core::FloorSelector selector(c.floors, pruned_config());
+  const core::FloorSelector selector(c.floors);
   for (auto _ : state) {
     benchmark::DoNotOptimize(selector.locate(c.observation));
   }
   state.counters["floors"] = static_cast<double>(selector.floor_count());
 }
 BENCHMARK(BM_CampusFloorSelect)->Unit(benchmark::kMicrosecond);
+
+// The locator build every republish pays on top of the compile: the
+// pooled sigmas and the scorer's per-cell Gaussian constants.
+void BM_CampusBuildLocator(benchmark::State& state) {
+  const CampusCorpus& c = campus();
+  const auto compiled = core::CompiledDatabase::compile(c.scenario.database());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::ProbabilisticLocator(compiled));
+  }
+}
+BENCHMARK(BM_CampusBuildLocator)->Unit(benchmark::kMicrosecond);
 
 // What every republish of a campus site pays before its snapshot can
 // swap in: one compile of the merged 1000-slot database.

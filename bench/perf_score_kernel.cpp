@@ -1,6 +1,7 @@
 // PERF — the compiled scoring engine: seed string-keyed scoring vs
-// the dense CompiledDatabase kernels, serial and batched across the
-// thread pool.
+// the probabilistic locator's sparse scorer and the dense
+// CompiledDatabase k-NN kernel, serial and batched across the thread
+// pool.
 //
 // Workload: the office corpus from perf_parallel (120x80 ft, 6 APs,
 // 5-ft survey grid -> ~400 training points), scored by the §5.1
@@ -136,23 +137,33 @@ void BM_ScoreAll_ReferenceMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreAll_ReferenceMerge)->Unit(benchmark::kMicrosecond);
 
-void BM_ScoreAll_DenseSerial(benchmark::State& state) {
+void BM_ScoreAll(benchmark::State& state) {
   const OfficeCorpus& c = office();
   const core::ProbabilisticLocator locator(c.db);
   for (auto _ : state) {
     benchmark::DoNotOptimize(locator.score_all(c.observation));
   }
 }
-BENCHMARK(BM_ScoreAll_DenseSerial)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ScoreAll)->Unit(benchmark::kMicrosecond);
 
-void BM_Locate_Dense(benchmark::State& state) {
+// The sparse scorer's locate. `bytes` is its CSR postings against
+// `dense_bytes`, the two points x stride Gaussian tables the dense
+// sweep it replaced kept; `simd` records which backend the binary
+// dispatched to ("avx2"/"neon" = 1, scalar fallback = 0) so the JSON
+// trajectory stays interpretable across build configurations.
+void BM_Locate(benchmark::State& state) {
   const OfficeCorpus& c = office();
   const core::ProbabilisticLocator locator(c.db);
   for (auto _ : state) {
     benchmark::DoNotOptimize(locator.locate(c.observation));
   }
+  state.counters["points"] = static_cast<double>(c.db.size());
+  state.counters["bytes"] = static_cast<double>(locator.scorer_bytes());
+  state.counters["dense_bytes"] = static_cast<double>(
+      2 * c.db.size() * locator.compiled().row_stride() * sizeof(double));
+  state.counters["simd"] = std::string_view(simd::backend()) != "scalar";
 }
-BENCHMARK(BM_Locate_Dense)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Locate)->Unit(benchmark::kMicrosecond);
 
 // RADAR k-NN: seed universe-scan with per-BSSID string lookups vs the
 // dense pre-filled signature matrix.
@@ -196,7 +207,7 @@ BENCHMARK(BM_Knn_Dense)->Unit(benchmark::kMicrosecond);
 
 // Batched localization: 64 observations through locate_batch, serial
 // vs chunked across the thread pool.
-void BM_Batch64_DenseSerial(benchmark::State& state) {
+void BM_Batch64_Serial(benchmark::State& state) {
   const OfficeCorpus& c = office();
   const core::ProbabilisticLocator locator(c.db);
   for (auto _ : state) {
@@ -204,9 +215,9 @@ void BM_Batch64_DenseSerial(benchmark::State& state) {
   }
   state.counters["obs"] = static_cast<double>(c.batch.size());
 }
-BENCHMARK(BM_Batch64_DenseSerial)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Batch64_Serial)->Unit(benchmark::kMillisecond);
 
-void BM_Batch64_DenseParallel(benchmark::State& state) {
+void BM_Batch64_Parallel(benchmark::State& state) {
   const OfficeCorpus& c = office();
   const core::ProbabilisticLocator locator(c.db);
   concurrency::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
@@ -215,28 +226,8 @@ void BM_Batch64_DenseParallel(benchmark::State& state) {
   }
   state.counters["obs"] = static_cast<double>(c.batch.size());
 }
-BENCHMARK(BM_Batch64_DenseParallel)->Arg(2)->Arg(4)
+BENCHMARK(BM_Batch64_Parallel)->Arg(2)->Arg(4)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
-
-// The v2 scoring engine's coarse-to-fine pruned locate path vs the
-// exhaustive sweep. `simd` in the counters records which backend the
-// binary dispatched to ("avx2"/"neon" = 1, scalar fallback = 0) so the
-// JSON trajectory stays interpretable across build configurations.
-void BM_Locate_Pruned(benchmark::State& state) {
-  const OfficeCorpus& c = office();
-  core::ProbabilisticConfig config;
-  config.prune_top_k = static_cast<int>(state.range(0));
-  const core::ProbabilisticLocator locator(c.db, config);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(locator.locate(c.observation));
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["points"] = static_cast<double>(c.db.size());
-  state.counters["top_k"] = static_cast<double>(state.range(0));
-  state.counters["simd"] = std::string_view(simd::backend()) != "scalar";
-}
-BENCHMARK(BM_Locate_Pruned)->Arg(16)->Arg(32)->Arg(64)
-    ->Unit(benchmark::kMicrosecond);
 
 // Compilation cost itself, to show it amortizes.
 void BM_CompileDatabase(benchmark::State& state) {

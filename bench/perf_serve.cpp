@@ -6,10 +6,8 @@
 //
 // The office corpus matches perf_score_kernel (120x80 ft, 6 APs, 5-ft
 // grid); every site snapshot is a §5.1 probabilistic locator with the
-// library default `ProbabilisticConfig{}` (the exhaustive dense sweep)
-// — what the serving benchmark and a default deployment serve. Pruning
-// is slower than the dense sweep on this small corpus
-// (BENCH_score_kernel.json, BM_Locate_Pruned vs BM_Locate_Dense).
+// library default `ProbabilisticConfig{}` — what the serving benchmark
+// and a default deployment serve.
 
 #include <benchmark/benchmark.h>
 

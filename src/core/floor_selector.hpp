@@ -12,9 +12,9 @@
 ///
 /// Two correctness details matter at campus cardinality:
 ///
-/// - Per-floor scoring rides the locators' compiled `locate()` path
-///   (coarse-to-fine pruning included when the config enables it),
-///   never a dense `score_all` sweep per floor.
+/// - Per-floor scoring rides the locators' sparse `locate()` path,
+///   which keeps no per-row score list, never a materialized
+///   `score_all` per floor.
 /// - Floors are compared on a **per-term** basis: each floor's best
 ///   log-likelihood is divided by the number of scored terms (common
 ///   APs + missing-AP penalties) behind it. Raw sums are not on a
@@ -115,8 +115,7 @@ std::vector<traindb::TrainingDatabase> train_campus(
 
 /// Merges per-floor databases (campus-unique location names required)
 /// into one database whose universe is the union — the single
-/// compilation the flat locators and the candidate pruner race on at
-/// campus cardinality.
+/// compilation the flat locators race on at campus cardinality.
 traindb::TrainingDatabase merge_floor_databases(
     const std::vector<traindb::TrainingDatabase>& floors,
     std::string site_name);

@@ -5,57 +5,42 @@
 #include <limits>
 
 #include "base/metrics.hpp"
-#include "concurrency/parallel_for.hpp"
-#include "core/score_kernels.hpp"
 #include "stats/gaussian.hpp"
 
 namespace loctk::core {
 
 namespace {
 
-metrics::Counter& prune_queries() {
-  static metrics::Counter& c = metrics::counter("score.prune.queries");
-  return c;
+constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+// Last-constructed locator's scorer size against the dense
+// points x universe cells it replaces.
+metrics::Gauge& postings_gauge() {
+  static metrics::Gauge& g = metrics::gauge("score.postings");
+  return g;
 }
-metrics::Counter& prune_candidates_scored() {
-  static metrics::Counter& c =
-      metrics::counter("score.prune.candidates_scored");
-  return c;
-}
-metrics::Counter& prune_fallback_full() {
-  static metrics::Counter& c =
-      metrics::counter("score.prune.fallback_full");
-  return c;
-}
-metrics::Gauge& prune_database_points() {
-  static metrics::Gauge& g = metrics::gauge("score.prune.database_points");
+metrics::Gauge& dense_cells_gauge() {
+  static metrics::Gauge& g = metrics::gauge("score.dense_cells");
   return g;
 }
 
-// The same production counters Locator::locate_batch feeds, fetched
-// by name so the quad-kernel override below stays indistinguishable
-// from the base path in every metrics invariant.
-metrics::Counter& locate_calls() {
-  static metrics::Counter& c = metrics::counter("locate.calls");
-  return c;
-}
-metrics::Counter& locate_degenerate() {
-  static metrics::Counter& c = metrics::counter("locate.degenerate");
-  return c;
-}
-metrics::HistogramMetric& locate_latency() {
-  static metrics::HistogramMetric& h =
-      metrics::histogram("locate.latency.seconds");
-  return h;
-}
-metrics::Counter& locate_batch_calls() {
-  static metrics::Counter& c = metrics::counter("locate.batch.calls");
-  return c;
-}
-metrics::Counter& locate_batch_observations() {
-  static metrics::Counter& c =
-      metrics::counter("locate.batch.observations");
-  return c;
+/// Gaussian partial sums per row: slot s accumulates into lane s % 4
+/// and the lanes fold as (l0 + l2) + (l1 + l3). That is the order the
+/// 4-lane dense sweep this scorer replaced summed in (simd::Vec4d's
+/// hsum tree), so scores, fixes and pinned reports keep their bits.
+constexpr std::size_t kLanes = 4;
+
+/// The scorer's per-thread scratch, reused across queries so a
+/// steady-state locate never touches the allocator.
+struct ScoreScratch {
+  CompiledObservation query;
+  std::vector<double> gauss;          // points x kLanes
+  std::vector<std::uint32_t> common;  // points
+};
+
+ScoreScratch& score_scratch() {
+  thread_local ScoreScratch scratch;
+  return scratch;
 }
 
 }  // namespace
@@ -68,37 +53,32 @@ ProbabilisticLocator::ProbabilisticLocator(
     std::shared_ptr<const CompiledDatabase> compiled,
     ProbabilisticConfig config)
     : compiled_(std::move(compiled)), config_(config) {
-  build_kernel_tables();
-  if (config_.prune_top_k > 0) {
-    // The pruner ranks candidates with this locator's own restricted
-    // score, so the exact arg-max is never pruned out
-    // (candidate_pruner.hpp).
-    pruner_ = std::make_shared<const CandidatePruner>(
-        compiled_,
-        PrunerConfig{.top_k = config_.prune_top_k,
-                     .tables = tables_,
-                     .missing_penalty = config_.missing_ap_log_penalty,
-                     .min_common_aps = config_.min_common_aps});
-    prune_database_points().set(
-        static_cast<double>(compiled_->point_count()));
-  }
+  build_scorer();
+  postings_gauge().set(static_cast<double>(postings_.size()));
+  dense_cells_gauge().set(static_cast<double>(
+      compiled_->point_count() * compiled_->universe_size()));
 }
 
-void ProbabilisticLocator::build_kernel_tables() {
+void ProbabilisticLocator::build_scorer() {
   const std::size_t points = compiled_->point_count();
   const std::size_t universe = compiled_->universe_size();
 
-  // Pooled per-AP sigma: sample-count-weighted RMS of the per-point
-  // sigmas (i.e. pooled variance), in one pass over the dense rows.
+  // One pass over the trained cells: pooled per-AP sigma (the
+  // sample-count-weighted RMS of the per-point sigmas, i.e. pooled
+  // variance) and the postings count per slot.
   pooled_sigma_.assign(universe, config_.sigma_floor_db);
   std::vector<double> var_sum(universe, 0.0);
   std::vector<double> weight(universe, 0.0);
+  offsets_.assign(universe + 1, 0);
   for (std::size_t p = 0; p < points; ++p) {
     const double* sd = compiled_->stddev_row(p);
     const double* w = compiled_->weight_row(p);
+    const double* mask = compiled_->mask_row(p);
     for (std::size_t u = 0; u < universe; ++u) {
+      if (mask[u] == 0.0) continue;
       var_sum[u] += w[u] * sd[u] * sd[u];
       weight[u] += w[u];
+      ++offsets_[u + 1];
     }
   }
   for (std::size_t u = 0; u < universe; ++u) {
@@ -106,32 +86,30 @@ void ProbabilisticLocator::build_kernel_tables() {
       pooled_sigma_[u] = std::max(std::sqrt(var_sum[u] / weight[u]),
                                   config_.sigma_floor_db);
     }
+    offsets_[u + 1] += offsets_[u];
   }
 
-  // Per-cell Gaussian constants. Untrained slots (and the stride pad)
-  // get exact zeros so the branchless kernel's masked terms stay
-  // finite; the tables share the compiled matrices' aligned padded
-  // layout so score_point can run unmasked vector loads.
-  const std::size_t stride = compiled_->row_stride();
-  auto tables = std::make_shared<GaussianTables>();
-  tables->log_norm.assign(points * stride, 0.0);
-  tables->inv_two_var.assign(points * stride, 0.0);
+  // Second pass files each trained cell under its slot. Rows are
+  // visited in order, so every slot's postings come out ascending.
+  postings_.resize(offsets_[universe]);
+  std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
   for (std::size_t p = 0; p < points; ++p) {
+    const double* mean = compiled_->mean_row(p);
     const double* sd = compiled_->stddev_row(p);
     const double* mask = compiled_->mask_row(p);
-    const std::size_t base = p * stride;
     for (std::size_t u = 0; u < universe; ++u) {
       if (mask[u] == 0.0) continue;
       const double sigma =
           config_.use_pooled_sigma
               ? pooled_sigma_[u]
               : std::max(sd[u], config_.sigma_floor_db);
-      tables->log_norm[base + u] =
-          -0.5 * std::log(stats::kTwoPi * sigma * sigma);
-      tables->inv_two_var[base + u] = 0.5 / (sigma * sigma);
+      postings_[cursor[u]++] = {
+          .mean = mean[u],
+          .log_norm = -0.5 * std::log(stats::kTwoPi * sigma * sigma),
+          .inv_two_var = 0.5 / (sigma * sigma),
+          .row = static_cast<std::uint32_t>(p)};
     }
   }
-  tables_ = std::move(tables);
 }
 
 double ProbabilisticLocator::pooled_sigma_db(const std::string& bssid) const {
@@ -184,245 +162,88 @@ double ProbabilisticLocator::log_likelihood(
   return total;
 }
 
-double ProbabilisticLocator::score_point(std::size_t point,
-                                         const CompiledObservation& q,
-                                         int* common_aps) const {
-  const std::size_t stride = compiled_->row_stride();
-  const kernels::ProbRowScore s = kernels::prob_score_row<simd::Vec4d>(
-      compiled_->mean_row(point), compiled_->mask_row(point),
-      tables_->log_norm.data() + point * stride,
-      tables_->inv_two_var.data() + point * stride, q.mean_dbm.data(),
-      q.present.data(), stride);
-  const int common_i = static_cast<int>(s.common);
-  // Penalties = trained-only + observed-only (inside or outside the
-  // trained universe).
-  const int penalties = compiled_->trained_count(point) + q.in_universe() +
-                        q.outside_universe - 2 * common_i;
-  if (common_aps) *common_aps = common_i;
-  return s.gauss +
-         config_.missing_ap_log_penalty * static_cast<double>(penalties);
-}
+template <class Visit>
+bool ProbabilisticLocator::score_rows(const Observation& obs,
+                                      Visit&& visit) const {
+  const std::size_t points = compiled_->point_count();
+  ScoreScratch& s = score_scratch();
+  compiled_->compile_observation_into(obs, &s.query);
+  const CompiledObservation& q = s.query;
+  s.gauss.assign(points * kLanes, 0.0);
+  s.common.assign(points, 0);
 
-ScoredPoint ProbabilisticLocator::scored_point(
-    std::size_t point, const CompiledObservation& q) const {
-  ScoredPoint sp;
-  sp.point = &compiled_->point(point);
-  sp.log_likelihood = score_point(point, q, &sp.common_aps);
-  if (sp.common_aps < config_.min_common_aps) {
-    sp.log_likelihood = -std::numeric_limits<double>::infinity();
-  }
-  return sp;
-}
-
-LocationEstimate ProbabilisticLocator::best_of_rows(
-    std::span<const std::uint32_t> rows,
-    const CompiledObservation& q) const {
-  LocationEstimate est;
-  ScoredPoint best;
-  best.log_likelihood = -std::numeric_limits<double>::infinity();
-  for (const std::uint32_t p : rows) {
-    const ScoredPoint sp = scored_point(p, q);
-    if (best.point == nullptr || sp.log_likelihood > best.log_likelihood) {
-      best = sp;
+  // Slot-major accumulate: only the observed slots' postings are read.
+  double* gauss = s.gauss.data();
+  std::uint32_t* common = s.common.data();
+  const Posting* postings = postings_.data();
+  for (const std::uint32_t slot : q.slots) {
+    const double x = q.mean_dbm[slot];
+    if (!std::isfinite(x)) return false;
+    double* lane = gauss + slot % kLanes;
+    const Posting* end = postings + offsets_[slot + 1];
+    for (const Posting* cell = postings + offsets_[slot]; cell != end;
+         ++cell) {
+      const double d = x - cell->mean;
+      lane[cell->row * kLanes] += cell->log_norm - d * d * cell->inv_two_var;
+      ++common[cell->row];
     }
   }
-  if (best.point == nullptr ||
-      best.log_likelihood == -std::numeric_limits<double>::infinity()) {
-    return est;
+
+  // Epilogue over every row, so zero-overlap rows still get their
+  // penalties (and min_common_aps = 0 can let them win). Penalties =
+  // trained-only + observed-only (inside or outside the universe).
+  const int observed = q.in_universe() + q.outside_universe;
+  const double penalty = config_.missing_ap_log_penalty;
+  const int min_common = config_.min_common_aps;
+  for (std::size_t r = 0; r < points; ++r) {
+    const double* g = gauss + r * kLanes;
+    const int c = static_cast<int>(common[r]);
+    const int penalties = compiled_->trained_count(r) + observed - 2 * c;
+    const double ll = ((g[0] + g[2]) + (g[1] + g[3])) +
+                      penalty * static_cast<double>(penalties);
+    visit(r, c < min_common ? kNegInf : ll, c);
   }
-  est.valid = true;
-  est.position = best.point->position;
-  est.location_name = best.point->location;
-  est.score = best.log_likelihood;
-  est.aps_used = best.common_aps;
-  return est;
+  return true;
 }
 
 std::vector<ScoredPoint> ProbabilisticLocator::score_all(
     const Observation& obs) const {
-  const CompiledObservation q = compiled_->compile_observation(obs);
   std::vector<ScoredPoint> scores;
   scores.reserve(compiled_->point_count());
-  for (std::size_t p = 0; p < compiled_->point_count(); ++p) {
-    scores.push_back(scored_point(p, q));
+  const bool finite =
+      score_rows(obs, [&](std::size_t row, double ll, int common) {
+        scores.push_back({&compiled_->point(row), ll, common});
+      });
+  if (!finite) {
+    for (std::size_t r = 0; r < compiled_->point_count(); ++r) {
+      scores.push_back({&compiled_->point(r), kNegInf, 0});
+    }
   }
   return scores;
 }
 
-LocationEstimate ProbabilisticLocator::best_of_all(
-    const CompiledObservation& q) const {
-  LocationEstimate est;
-  ScoredPoint best;
-  best.log_likelihood = -std::numeric_limits<double>::infinity();
-  for (std::size_t p = 0; p < compiled_->point_count(); ++p) {
-    const ScoredPoint sp = scored_point(p, q);
-    if (best.point == nullptr || sp.log_likelihood > best.log_likelihood) {
-      best = sp;
-    }
-  }
-  if (best.point == nullptr ||
-      best.log_likelihood == -std::numeric_limits<double>::infinity()) {
-    return est;
-  }
-  est.valid = true;
-  est.position = best.point->position;
-  est.location_name = best.point->location;
-  est.score = best.log_likelihood;
-  est.aps_used = best.common_aps;
-  return est;
-}
-
-void ProbabilisticLocator::locate_quad(const CompiledObservation* qs,
-                                       LocationEstimate* out) const {
-  using V = simd::Vec4d;
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  const std::size_t stride = compiled_->row_stride();
-  const std::size_t points = compiled_->point_count();
-
-  // Transpose the four compiled queries into slot-major panels (one
-  // aligned vector of four observations per universe slot) and hoist
-  // each observation's constant penalty base K = in + outside. The
-  // panels are per-thread scratch: every cell is overwritten below,
-  // so only the capacity is reused across quads.
-  thread_local simd::AlignedDoubles qm_t;
-  thread_local simd::AlignedDoubles qp_t;
-  qm_t.resize(stride * simd::kLanes);
-  qp_t.resize(stride * simd::kLanes);
-  alignas(simd::kAlignment) double k_base[simd::kLanes];
-  for (std::size_t j = 0; j < simd::kLanes; ++j) {
-    for (std::size_t u = 0; u < stride; ++u) {
-      qm_t[u * simd::kLanes + j] = qs[j].mean_dbm[u];
-      qp_t[u * simd::kLanes + j] = qs[j].present[u];
-    }
-    k_base[j] =
-        static_cast<double>(qs[j].in_universe() + qs[j].outside_universe);
-  }
-
-  // Per-row epilogue, all in lanes. The scalar path computes
-  //   penalties = trained + in + outside - 2*common   (exact small ints)
-  //   ll = gauss + penalty * penalties; common < min  ->  -inf
-  // and the lane arithmetic below evaluates the same exact integer
-  // values and the same two rounding ops (penalty*pen, gauss + x), so
-  // each lane matches scored_point() bit for bit. The arg-max uses the
-  // same strictly-greater update as best_of_all: rows scanned in
-  // order, first maximum wins, -inf rows can never displace anything.
-  const V v_k = V::load(k_base);
-  const V v_penalty = V::broadcast(config_.missing_ap_log_penalty);
-  const V v_min_common =
-      V::broadcast(static_cast<double>(config_.min_common_aps));
-  const V v_ninf = V::broadcast(kNegInf);
-  const V v_two = V::broadcast(2.0);
-  V best_ll = v_ninf;
-  V best_row = V::zero();
-  V best_common = V::zero();
-  for (std::size_t p = 0; p < points; ++p) {
-    V gauss, common;
-    kernels::prob_score_row_obs4<V>(
-        compiled_->mean_row(p), compiled_->mask_row(p),
-        tables_->log_norm.data() + p * stride,
-        tables_->inv_two_var.data() + p * stride,
-        qm_t.data(), qp_t.data(), stride, &gauss, &common);
-    const V v_trained =
-        V::broadcast(static_cast<double>(compiled_->trained_count(p)));
-    const V pen = (v_trained + v_k) - v_two * common;
-    V ll = gauss + v_penalty * pen;
-    ll = V::select_ge(common, v_min_common, ll, v_ninf);
-    const V v_row = V::broadcast(static_cast<double>(p));
-    best_row = V::select_gt(ll, best_ll, v_row, best_row);
-    best_common = V::select_gt(ll, best_ll, common, best_common);
-    best_ll = V::select_gt(ll, best_ll, ll, best_ll);
-  }
-
-  alignas(simd::kAlignment) double lls[simd::kLanes];
-  alignas(simd::kAlignment) double rows[simd::kLanes];
-  alignas(simd::kAlignment) double commons[simd::kLanes];
-  best_ll.store(lls);
-  best_row.store(rows);
-  best_common.store(commons);
-  for (std::size_t i = 0; i < simd::kLanes; ++i) {
-    LocationEstimate est;
-    if (points > 0 && lls[i] != kNegInf) {
-      const traindb::TrainingPoint& tp =
-          compiled_->point(static_cast<std::size_t>(rows[i]));
-      est.valid = true;
-      est.position = tp.position;
-      est.location_name = tp.location;
-      est.score = lls[i];
-      est.aps_used = static_cast<int>(commons[i]);
-    }
-    out[i] = est;
-  }
-}
-
 LocationEstimate ProbabilisticLocator::locate(const Observation& obs) const {
   LocationEstimate est;
-  if (obs.empty() || compiled_->empty()) return est;
+  if (obs.empty()) return est;
 
-  const CompiledObservation q = compiled_->compile_observation(obs);
-  if (pruner_) {
-    prune_queries().increment();
-    const std::vector<std::uint32_t> candidates = pruner_->select(q);
-    if (!candidates.empty()) {
-      prune_candidates_scored().add(candidates.size());
-      est = best_of_rows(candidates, q);
-      if (est.valid) return est;
+  std::size_t best_row = 0;
+  double best_ll = kNegInf;
+  int best_common = 0;
+  score_rows(obs, [&](std::size_t row, double ll, int common) {
+    if (ll > best_ll) {
+      best_row = row;
+      best_ll = ll;
+      best_common = common;
     }
-    // Degenerate prefilter or no valid candidate estimate: take the
-    // exact full pass, so pruning can never invalidate an answer.
-    prune_fallback_full().increment();
-  }
-  return best_of_all(q);
-}
-
-std::vector<LocationEstimate> ProbabilisticLocator::locate_batch(
-    std::span<const Observation> obs, concurrency::ThreadPool* pool) const {
-  // The pruned configuration is a per-observation adaptive path;
-  // the base implementation already parallelizes it correctly.
-  if (pruner_ || compiled_->empty()) {
-    return Locator::locate_batch(obs, pool);
-  }
-  locate_batch_calls().increment();
-  locate_batch_observations().add(obs.size());
-  locate_calls().add(obs.size());
-  metrics::ScopedTimer timer(locate_latency(), obs.size());
-  std::vector<LocationEstimate> out(obs.size());
-
-  // Empty observations never reach the kernels (locate() refuses them
-  // before compiling, and min_common_aps = 0 would otherwise let an
-  // all-zero query "win"); everything else rides the observation-major
-  // kernel in groups of four, remainder on the single-query scan.
-  std::vector<std::uint32_t> live;
-  live.reserve(obs.size());
-  for (std::size_t i = 0; i < obs.size(); ++i) {
-    if (!obs[i].empty()) live.push_back(static_cast<std::uint32_t>(i));
-  }
-  const std::size_t quads = live.size() / 4;
-  auto quad_body = [&](std::size_t g) {
-    // Per-thread scratch: compile_observation_into reuses the buffer
-    // capacity, so steady-state batches never touch the allocator.
-    thread_local CompiledObservation qs[4];
-    LocationEstimate res[4];
-    for (std::size_t j = 0; j < 4; ++j) {
-      compiled_->compile_observation_into(obs[live[g * 4 + j]], &qs[j]);
-    }
-    locate_quad(qs, res);
-    for (std::size_t j = 0; j < 4; ++j) {
-      out[live[g * 4 + j]] = std::move(res[j]);
-    }
-  };
-  if (pool && quads > 1) {
-    concurrency::parallel_for(*pool, 0, quads, quad_body);
-  } else {
-    for (std::size_t g = 0; g < quads; ++g) quad_body(g);
-  }
-  for (std::size_t k = quads * 4; k < live.size(); ++k) {
-    out[live[k]] =
-        best_of_all(compiled_->compile_observation(obs[live[k]]));
-  }
-  for (const LocationEstimate& est : out) {
-    if (!est.valid) locate_degenerate().increment();
-  }
-  return out;
+  });
+  if (best_ll == kNegInf) return est;
+  const traindb::TrainingPoint& tp = compiled_->point(best_row);
+  est.valid = true;
+  est.position = tp.position;
+  est.location_name = tp.location;
+  est.score = best_ll;
+  est.aps_used = best_common;
+  return est;
 }
 
 }  // namespace loctk::core

@@ -15,16 +15,23 @@
 ///
 /// We evaluate the product in log space (same arg-max, no underflow)
 /// and expose the full per-point scores for the Bayes-grid and
-/// tracking layers. The bulk paths (`score_all`, `locate`,
-/// `locate_batch`) run a dense kernel over `CompiledDatabase` matrices;
-/// the per-point `log_likelihood` keeps the string-keyed form as the
+/// tracking layers. `score_all` and `locate` (and through it the base
+/// `locate_batch`) share one exact sparse scorer: at construction the
+/// locator stores, per universe slot, the CSR postings of the rows
+/// trained on it with their Gaussian constants, so a query walks only
+/// the observed slots' postings and closes every row with the
+/// missing-AP penalty, which is closed-form in the trained, observed
+/// and common counts. A campus map is a few percent dense, so this
+/// reads a few percent of what a dense points x universe sweep reads.
+/// The per-point `log_likelihood` keeps the string-keyed form as the
 /// readable reference implementation (the equivalence is pinned by
-/// tests/core_compiled_db_test.cpp).
+/// tests/core_compiled_db_test.cpp and tests/core_scoring_v2_test.cpp).
 
-#include <span>
+#include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
-#include "core/candidate_pruner.hpp"
 #include "core/compiled_db.hpp"
 #include "core/locator.hpp"
 
@@ -50,13 +57,6 @@ struct ProbabilisticConfig {
   /// cell happened to survey calm (a known fingerprinting pathology).
   /// Pooling removes that term from the decision.
   bool use_pooled_sigma = false;
-  /// Coarse-to-fine pruning: when > 0, locate() scores only the
-  /// `prune_top_k` candidate rows the pruner's coarse rank selects
-  /// (each scored with the exact kernel), falling back to the full
-  /// pass whenever the prefilter is degenerate or the pruned pass
-  /// yields no valid estimate. 0 keeps the exhaustive sweep.
-  /// score_all always scores everything.
-  int prune_top_k = 0;
 };
 
 /// One scored training point (for diagnostics and the Bayes layer).
@@ -81,24 +81,16 @@ class ProbabilisticLocator : public Locator {
       std::shared_ptr<const CompiledDatabase> compiled,
       ProbabilisticConfig config = {});
 
+  /// The arg-max of `score_all`: the first row with the highest
+  /// finite score. Invalid when the observation is empty, when every
+  /// row is skipped, or when an in-universe AP carries a non-finite
+  /// mean.
   LocationEstimate locate(const Observation& obs) const override;
   std::string name() const override { return "probabilistic-ml"; }
 
-  /// Batched locate on the observation-major kernel: four observations
-  /// occupy the vector lanes and ride one pass over the training rows,
-  /// with each row's table values broadcast once and the entire
-  /// epilogue (penalties, clamp, arg-max) kept in lanes — no
-  /// horizontal reductions anywhere on the hot path. Results are
-  /// bit-identical to locate() per element (the kernel reproduces the
-  /// slot-major kernel's per-lane partial sums and hsum tree); pruned
-  /// configurations route through the per-observation coarse-to-fine
-  /// path instead.
-  std::vector<LocationEstimate> locate_batch(
-      std::span<const Observation> obs,
-      concurrency::ThreadPool* pool = nullptr) const override;
-
   /// Log-likelihood of `obs` against every training point, in
-  /// database order. Skipped points carry -infinity.
+  /// database order. Skipped points carry -infinity, and so does every
+  /// point when an in-universe AP carries a non-finite mean.
   std::vector<ScoredPoint> score_all(const Observation& obs) const;
 
   /// Log-likelihood of one observation at one training point —
@@ -116,46 +108,45 @@ class ProbabilisticLocator : public Locator {
   }
   const CompiledDatabase& compiled() const { return *compiled_; }
   const ProbabilisticConfig& config() const { return config_; }
-  /// The coarse-to-fine pruner locate() consults; null when
-  /// `prune_top_k == 0`.
-  const CandidatePruner* pruner() const { return pruner_.get(); }
+
+  /// Trained <row, slot> cells in the scorer's postings.
+  std::size_t posting_count() const { return postings_.size(); }
+  /// Bytes the scorer's postings and slot offsets occupy.
+  std::size_t scorer_bytes() const {
+    return postings_.size() * sizeof(Posting) +
+           offsets_.size() * sizeof(std::uint32_t);
+  }
 
   /// Pooled sigma for `bssid` (defined whether or not pooling is
   /// enabled); falls back to the floor for unknown BSSIDs.
   double pooled_sigma_db(const std::string& bssid) const;
 
  private:
-  void build_kernel_tables();
-  /// Dense likelihood of a compiled observation at one row (SIMD
-  /// kernel over the padded SoA rows).
-  double score_point(std::size_t point, const CompiledObservation& q,
-                     int* common_aps) const;
-  /// score_point + the min_common_aps clamp, as stored in results.
-  ScoredPoint scored_point(std::size_t point,
-                           const CompiledObservation& q) const;
-  /// Best estimate among `rows` (exact scores); invalid when every
-  /// row is skipped.
-  LocationEstimate best_of_rows(std::span<const std::uint32_t> rows,
-                                const CompiledObservation& q) const;
-  /// best_of_rows over the full database without materializing a row
-  /// list (the exhaustive path locate() and the pruner fallback take).
-  LocationEstimate best_of_all(const CompiledObservation& q) const;
-  /// Four compiled observations through one pass over every training
-  /// row via the observation-major kernel (lanes = observations);
-  /// writes exactly what locate() would.
-  void locate_quad(const CompiledObservation* qs,
-                   LocationEstimate* out) const;
+  /// One trained cell, filed under its universe slot.
+  struct Posting {
+    double mean = 0.0;
+    /// log_pdf(x) = log_norm - (x - mean)² · inv_two_var.
+    double log_norm = 0.0;
+    double inv_two_var = 0.0;
+    std::uint32_t row = 0;
+  };
+
+  void build_scorer();
+  /// Scores `obs` against every row and calls `visit(row, ll, common)`
+  /// once per row in database order, `ll` already penalized and
+  /// clamped. Returns false, visiting nothing, when an in-universe AP
+  /// carries a non-finite mean.
+  template <class Visit>
+  bool score_rows(const Observation& obs, Visit&& visit) const;
 
   std::shared_ptr<const CompiledDatabase> compiled_;
   ProbabilisticConfig config_;
-  /// Built when config_.prune_top_k > 0 (shared so the locator stays
-  /// copyable).
-  std::shared_ptr<const CandidatePruner> pruner_;
   /// Aligned with database().bssid_universe().
   std::vector<double> pooled_sigma_;
-  /// The per-cell Gaussian constants (see GaussianTables), shared with
-  /// the pruner so copies of either stay valid.
-  std::shared_ptr<const GaussianTables> tables_;
+  /// CSR postings: the rows trained on slot s, ascending, live at
+  /// postings_[offsets_[s] .. offsets_[s + 1]).
+  std::vector<Posting> postings_;
+  std::vector<std::uint32_t> offsets_;
 };
 
 }  // namespace loctk::core

@@ -27,84 +27,6 @@
 
 namespace loctk::core::kernels {
 
-/// Gaussian log-likelihood partials of one compiled observation
-/// against one training row (probabilistic locator).
-struct ProbRowScore {
-  double gauss = 0.0;   ///< masked sum of per-slot log-pdf terms
-  double common = 0.0;  ///< number of slots present on both sides
-};
-
-/// Mirrors the scalar loop
-///   both = mask[u] * present[u];  d = q_mean[u] - mean[u];
-///   gauss += both * (log_norm[u] - d*d*inv_two_var[u]);  common += both;
-template <class V>
-inline ProbRowScore prob_score_row(const double* mean, const double* mask,
-                                   const double* log_norm,
-                                   const double* inv_two_var,
-                                   const double* q_mean,
-                                   const double* q_present,
-                                   std::size_t stride) {
-  V gauss = V::zero();
-  V common = V::zero();
-  for (std::size_t u = 0; u < stride; u += simd::kLanes) {
-    const V both = V::load(mask + u) * V::load(q_present + u);
-    const V d = V::load(q_mean + u) - V::load(mean + u);
-    const V term =
-        V::load(log_norm + u) - d * d * V::load(inv_two_var + u);
-    gauss = gauss + both * term;
-    common = common + both;
-  }
-  return {gauss.hsum(), common.hsum()};
-}
-
-/// One training row against four compiled observations at once, with
-/// the OBSERVATIONS in the vector lanes: `q_mean_t`/`q_present_t` are
-/// slot-major transposed panels (stride x 4 doubles, 64-byte aligned)
-/// holding the four queries' values for each universe slot, and lane i
-/// of `*gauss`/`*common` is observation i's score. Row table values
-/// are broadcast once per slot and shared by all four lanes, and —
-/// unlike the slot-major kernel — no horizontal reduction is needed:
-/// the per-observation sums come out already separated by lane, so the
-/// batched caller's whole epilogue (penalties, clamp, arg-max) stays
-/// vectorized too.
-///
-/// Bit-compatibility with `prob_score_row`: accumulator j gathers the
-/// slots congruent to j mod 4 in ascending order — exactly the partial
-/// sums the slot-major kernel builds in lane j — and the final combine
-/// (a0+a2)+(a1+a3) is the fixed hsum tree. Lane i of the outputs is
-/// therefore bit-identical to prob_score_row(...).gauss/.common on
-/// observation i, for every backend.
-template <class V>
-inline void prob_score_row_obs4(const double* mean, const double* mask,
-                                const double* log_norm,
-                                const double* inv_two_var,
-                                const double* q_mean_t,
-                                const double* q_present_t,
-                                std::size_t stride, V* gauss, V* common) {
-  V g0 = V::zero(), c0 = V::zero();
-  V g1 = V::zero(), c1 = V::zero();
-  V g2 = V::zero(), c2 = V::zero();
-  V g3 = V::zero(), c3 = V::zero();
-  const auto slot = [&](std::size_t u, V& g, V& c) {
-    const V both =
-        V::broadcast(mask[u]) * V::load(q_present_t + u * simd::kLanes);
-    const V d =
-        V::load(q_mean_t + u * simd::kLanes) - V::broadcast(mean[u]);
-    const V term =
-        V::broadcast(log_norm[u]) - d * d * V::broadcast(inv_two_var[u]);
-    g = g + both * term;
-    c = c + both;
-  };
-  for (std::size_t u = 0; u < stride; u += simd::kLanes) {
-    slot(u + 0, g0, c0);
-    slot(u + 1, g1, c1);
-    slot(u + 2, g2, c2);
-    slot(u + 3, g3, c3);
-  }
-  *gauss = (g0 + g2) + (g1 + g3);
-  *common = (c0 + c2) + (c1 + c3);
-}
-
 /// Plain squared distance between two padded vectors (k-NN family;
 /// both sides carry identical pad values so padded deltas are 0.0).
 template <class V>

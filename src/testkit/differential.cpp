@@ -163,81 +163,6 @@ std::string DifferentialReport::to_text() const {
   return out;
 }
 
-std::string PrunedDifferentialReport::to_text() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "pruned differential: %llu observations, %llu compared, "
-                "%llu top-1 agreements, %zu disagreements\n",
-                static_cast<unsigned long long>(observations),
-                static_cast<unsigned long long>(compared),
-                static_cast<unsigned long long>(top1_agreements),
-                disagreements.size());
-  std::string out = buf;
-  for (const EstimateDiff& d : disagreements) {
-    out += "  [" + d.locator + " #" + std::to_string(d.observation) + "] " +
-           d.detail + "\n";
-  }
-  return out;
-}
-
-namespace {
-
-/// Diffs one pruned estimate against its exact twin. Candidates are
-/// scored with the exact kernel, so agreement means identical
-/// validity, winner, and score — no tolerance needed.
-std::optional<std::string> diff_pruned(const core::LocationEstimate& pruned,
-                                       const core::LocationEstimate& exact) {
-  if (pruned.valid != exact.valid) {
-    return std::string("validity: pruned ") +
-           (pruned.valid ? "valid" : "invalid") + " vs exact " +
-           (exact.valid ? "valid" : "invalid");
-  }
-  if (!pruned.valid) return std::nullopt;
-  if (pruned.location_name != exact.location_name ||
-      !(pruned.position == exact.position)) {
-    return "top-1: pruned '" + pruned.location_name + "' vs exact '" +
-           exact.location_name + "'";
-  }
-  if (pruned.score != exact.score) {
-    return describe("top-1 score", pruned.score, exact.score);
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-PrunedDifferentialReport run_pruned_differential(
-    const traindb::TrainingDatabase& db,
-    std::span<const core::Observation> observations,
-    const core::ProbabilisticConfig& prune_config) {
-  PrunedDifferentialReport report;
-  report.observations = observations.size();
-
-  const auto compiled = core::CompiledDatabase::compile(db);
-  core::ProbabilisticConfig exact_config = prune_config;
-  exact_config.prune_top_k = 0;
-  const core::ProbabilisticLocator prob_pruned(compiled, prune_config);
-  const core::ProbabilisticLocator prob_exact(compiled, exact_config);
-
-  auto compare = [&report](const std::string& locator, std::size_t i,
-                           const core::LocationEstimate& pruned,
-                           const core::LocationEstimate& exact) {
-    ++report.compared;
-    if (auto diff = diff_pruned(pruned, exact)) {
-      report.disagreements.push_back({locator, i, std::move(*diff)});
-    } else {
-      ++report.top1_agreements;
-    }
-  };
-
-  for (std::size_t i = 0; i < observations.size(); ++i) {
-    const core::Observation& obs = observations[i];
-    compare("probabilistic-ml/pruned", i, prob_pruned.locate(obs),
-            prob_exact.locate(obs));
-  }
-  return report;
-}
-
 DifferentialReport run_differential_oracle(
     const traindb::TrainingDatabase& db,
     const std::vector<core::Observation>& observations,

@@ -3,8 +3,8 @@
 /// \file differential.hpp
 /// Compiled-vs-reference differential oracle.
 ///
-/// PR-1 gave every fingerprint locator two implementations of the same
-/// math: the dense compiled kernel `locate()` actually runs, and the
+/// Every fingerprint locator has two implementations of the same
+/// math: the compiled path `locate()` actually runs, and the
 /// readable string-keyed form (`log_likelihood`, `signal_distance`,
 /// `ssd_distance`) kept as executable documentation. The oracle feeds
 /// both sides the *same* observation batch (typically windows cut from
@@ -17,20 +17,15 @@
 /// *as scored by the reference* — a genuine near-tie between training
 /// points is not a defect, picking a reference-refutable point is.
 /// For the k-NN family positions and scores are compared directly
-/// under tight tolerances; the v2 SIMD kernels accumulate in four
-/// lanes, so their sums sit within rounding noise (not bit-for-bit)
-/// of the serial reference order. The bit-for-bit contract lives one
-/// level down: native-backend kernels vs the scalar fallback lanes
-/// (tests/core_scoring_v2_test.cpp).
-///
-/// `run_pruned_differential` covers the coarse-to-fine pruner the
-/// same way: a pruned locator vs its exact twin over the same
-/// observations, reporting top-1 agreement (candidates are scored
-/// with the exact kernel, so any disagreement means the true winner
-/// was pruned out).
+/// under tight tolerances. The compiled paths sum in a different order
+/// from the serial references (the probabilistic scorer folds four
+/// partial sums per row, the SIMD kernels accumulate in four lanes),
+/// so their sums sit within rounding noise, not bit-for-bit, of the
+/// reference order. The bit-for-bit contracts live one level down:
+/// native-backend kernels vs the scalar fallback lanes, and `locate`
+/// vs the arg-max of `score_all` (tests/core_scoring_v2_test.cpp).
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -77,39 +72,6 @@ DifferentialReport run_differential_oracle(
     const traindb::TrainingDatabase& db,
     const std::vector<core::Observation>& observations,
     const DifferentialConfig& config = {});
-
-/// Pruned-vs-exact differential report. `compared` counts
-/// locator x observation comparisons; `top1_agreements` counts those
-/// that matched exactly (same validity, winner, and score — the
-/// pruned path scores candidates with the exact kernel, so agreement
-/// is equality, not tolerance). Every disagreement is listed — on a
-/// healthy corpus with sane pruner settings the list is empty, and
-/// conformance asserts exactly that.
-struct PrunedDifferentialReport {
-  std::uint64_t observations = 0;
-  std::uint64_t compared = 0;
-  std::uint64_t top1_agreements = 0;
-  std::vector<EstimateDiff> disagreements;
-
-  bool ok() const { return disagreements.empty(); }
-  double agreement_rate() const {
-    return compared == 0
-               ? 1.0
-               : static_cast<double>(top1_agreements) /
-                     static_cast<double>(compared);
-  }
-  std::string to_text() const;
-};
-
-/// Runs the probabilistic locator twice over `observations` — once
-/// with `prune_config`'s pruning enabled, once with the exact full
-/// sweep — and diffs the top-1 estimates. `prune_config` must
-/// have prune_top_k > 0; the exact twin is the same config with
-/// pruning zeroed.
-PrunedDifferentialReport run_pruned_differential(
-    const traindb::TrainingDatabase& db,
-    std::span<const core::Observation> observations,
-    const core::ProbabilisticConfig& prune_config);
 
 /// Exact structural diff of two compilations — the delta-compile
 /// oracle gate. Zero tolerance: delta compilation copies or re-interns

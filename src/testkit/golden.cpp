@@ -5,8 +5,7 @@
 
 namespace loctk::testkit {
 
-PaperGoldenSummary run_paper_golden(int reruns,
-                                    core::ProbabilisticConfig prob_config) {
+PaperGoldenSummary run_paper_golden(int reruns) {
   PaperGoldenSummary summary;
   summary.reruns = reruns;
   if (reruns <= 0) return summary;
@@ -15,7 +14,7 @@ PaperGoldenSummary run_paper_golden(int reruns,
        ++seed) {
     // Same seed formula as bench/sec51_probabilistic.cpp.
     const PaperExperiment exp(seed * 7 + 100);
-    const core::ProbabilisticLocator locator(exp.db, prob_config);
+    const core::ProbabilisticLocator locator(exp.db);
     const core::EvaluationResult r =
         core::evaluate(locator, exp.db, exp.truths, exp.observations);
     summary.sec51_valid_rate += r.valid_estimation_rate();
@@ -30,7 +29,7 @@ PaperGoldenSummary run_paper_golden(int reruns,
     summary.sec52_mean_error_ft +=
         core::evaluate(geo, exp.db, exp.truths, exp.observations)
             .mean_error_ft();
-    const core::ProbabilisticLocator prob(exp.db, prob_config);
+    const core::ProbabilisticLocator prob(exp.db);
     summary.sec52_probabilistic_mean_error_ft +=
         core::evaluate(prob, exp.db, exp.truths, exp.observations)
             .mean_error_ft();

@@ -25,7 +25,6 @@
 
 #include "core/evaluation.hpp"
 #include "core/pipeline.hpp"
-#include "core/probabilistic.hpp"
 #include "radio/environment.hpp"
 #include "traindb/database.hpp"
 
@@ -92,10 +91,6 @@ struct PaperGoldenSummary {
 /// Reruns the §5.1 and §5.2 experiments over `reruns` independent
 /// survey/test days (the same seed formulas as bench/sec51 and
 /// bench/sec52, so the gates measure exactly what the benches print).
-/// `prob_config` parameterizes every probabilistic locator in the
-/// run — pass a pruning-enabled config to gate the coarse-to-fine
-/// path against the same golden bands as the exhaustive sweep.
-PaperGoldenSummary run_paper_golden(int reruns = 20,
-                                    core::ProbabilisticConfig prob_config = {});
+PaperGoldenSummary run_paper_golden(int reruns = 20);
 
 }  // namespace loctk::testkit

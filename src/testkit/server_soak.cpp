@@ -48,15 +48,13 @@ std::string format_violation(const char* what, std::uint64_t expected,
   return buf;
 }
 
-/// A site's locator: the pruned §5.1 locator compiled from the site's
-/// training database, so the soak keeps the coarse-to-fine path and
-/// its degenerate fallback under concurrent fault-schedule load.
+/// A site's locator: the default §5.1 locator compiled from the
+/// site's training database, so the soak runs the sparse scorer's
+/// per-thread scratch under concurrent fault-schedule load.
 std::shared_ptr<const core::Locator> make_site_locator(
     const Scenario& scenario) {
-  core::ProbabilisticConfig config;
-  config.prune_top_k = 32;
   return std::make_shared<const core::ProbabilisticLocator>(
-      core::CompiledDatabase::compile(scenario.database()), config);
+      core::CompiledDatabase::compile(scenario.database()));
 }
 
 /// The standing fault schedule, per site.

@@ -139,7 +139,7 @@ struct SoakSite {
 };
 
 /// The synthesized workload: `sites[s]` replays the trace
-/// `scenarios[s]` recorded, against a pruned §5.1 locator compiled
+/// `scenarios[s]` recorded, against a default §5.1 locator compiled
 /// from that scenario's survey.
 struct SoakWorkload {
   std::vector<std::unique_ptr<Scenario>> scenarios;

@@ -36,20 +36,6 @@ const PaperGoldenSummary& golden() {
   return summary;
 }
 
-/// The same golden run with coarse-to-fine pruning enabled on every
-/// probabilistic locator. The paper house's 10-ft survey grid yields
-/// only a dozen training points, so top_k must sit below that for the
-/// prefilter to genuinely prune (a third of the rows skip exact
-/// scoring) rather than degrade to the full pass.
-const PaperGoldenSummary& pruned_golden() {
-  static const PaperGoldenSummary summary = [] {
-    core::ProbabilisticConfig config;
-    config.prune_top_k = 8;
-    return run_paper_golden(20, config);
-  }();
-  return summary;
-}
-
 TEST(ConformancePaper, Sec51ValidRateInPaperBand) {
   const PaperGoldenSummary& g = golden();
   EXPECT_TRUE(kSec51ValidRateBand.contains(g.sec51_valid_rate))
@@ -105,20 +91,6 @@ TEST(ConformanceReplay, TraceReplaysBitForBitWithIdenticalReports) {
   EXPECT_EQ(from_original.report.to_json(), from_decoded.report.to_json());
 }
 
-TEST(ConformancePaper, PrunedLocatorStaysInGoldenBands) {
-  // The coarse-to-fine pruner must not buy its speed with accuracy:
-  // the pruned probabilistic locator reruns the §5.1/§5.2 experiments
-  // and must land in the same golden bands as the exhaustive sweep.
-  const PaperGoldenSummary& g = pruned_golden();
-  EXPECT_TRUE(kSec51ValidRateBand.contains(g.sec51_valid_rate))
-      << "pruned valid-estimation rate " << g.sec51_valid_rate
-      << " outside [" << kSec51ValidRateBand.lo << ", "
-      << kSec51ValidRateBand.hi << "]";
-  EXPECT_GT(g.sec51_mean_error_ft, 2.0);
-  EXPECT_LT(g.sec51_mean_error_ft, 15.0);
-  EXPECT_LT(g.sec52_probabilistic_mean_error_ft, g.sec52_mean_error_ft);
-}
-
 TEST(ConformanceDifferential, ZeroMismatchesAcrossAllLocators) {
   const Scenario scenario(ScenarioSpec::fleet(8, 30, /*seed=*/91));
   const auto observations =
@@ -131,25 +103,6 @@ TEST(ConformanceDifferential, ZeroMismatchesAcrossAllLocators) {
       run_differential_oracle(scenario.database(), observations);
   EXPECT_EQ(report.comparisons, observations.size() * 6);
   EXPECT_TRUE(report.ok()) << report.to_text();
-}
-
-TEST(ConformanceDifferential, PrunedPathZeroTop1Disagreements) {
-  // The coarse-to-fine pruner scores candidates with the exact
-  // kernel, so any top-1 disagreement means the true winner was
-  // pruned out of the candidate set — conformance demands none on a
-  // fleet-scale trace.
-  const Scenario scenario(ScenarioSpec::fleet(8, 30, /*seed=*/92,
-                                              SiteModel::kOfficeFloor));
-  const auto observations =
-      observations_from_trace(scenario.record_trace(), 8);
-  ASSERT_FALSE(observations.empty());
-  core::ProbabilisticConfig prune_config;
-  prune_config.prune_top_k = 24;
-  const PrunedDifferentialReport report = run_pruned_differential(
-      scenario.database(), observations, prune_config);
-  EXPECT_EQ(report.compared, observations.size());
-  EXPECT_TRUE(report.ok()) << report.to_text();
-  EXPECT_EQ(report.agreement_rate(), 1.0);
 }
 
 }  // namespace

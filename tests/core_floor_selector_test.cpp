@@ -238,15 +238,11 @@ TEST(FloorSelector, RejectsNonFiniteFloorScores) {
 }
 
 // Campus fix #1: selection rides the compiled locate() path, so a
-// pruned configuration and a shared compilation must both work and
-// agree with the exact sweep.
-TEST(FloorSelector, PrunedAndSharedCompilationAgreeWithExact) {
+// shared compilation must work and agree with the private one bit for
+// bit.
+TEST(FloorSelector, SharedCompilationAgreesWithExact) {
   const BuildingFixture fx;
   const FloorSelector exact(ptrs(fx.dbs));
-
-  ProbabilisticConfig pruned_cfg;
-  pruned_cfg.prune_top_k = 8;
-  const FloorSelector pruned(ptrs(fx.dbs), pruned_cfg);
 
   std::vector<std::shared_ptr<const CompiledDatabase>> shared;
   for (const auto& db : fx.dbs) {
@@ -261,14 +257,11 @@ TEST(FloorSelector, PrunedAndSharedCompilationAgreeWithExact) {
     const Observation obs =
         Observation::from_scans(scanner.collect({18.0, 22.0}, 20));
     const FloorEstimate e = exact.locate(obs);
-    const FloorEstimate p = pruned.locate(obs);
     const FloorEstimate s = shared_sel.locate(obs);
     ASSERT_TRUE(e.valid);
-    ASSERT_TRUE(p.valid);
     ASSERT_TRUE(s.valid);
-    EXPECT_EQ(p.floor, e.floor);
-    EXPECT_EQ(p.estimate.location_name, e.estimate.location_name);
     EXPECT_EQ(s.floor, e.floor);
+    EXPECT_EQ(s.estimate.location_name, e.estimate.location_name);
     EXPECT_EQ(s.estimate.score, e.estimate.score);
     EXPECT_EQ(s.floor_confidence, e.floor_confidence);
   }

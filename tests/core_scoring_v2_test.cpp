@@ -7,10 +7,13 @@
 //    NaN observations, zero-mask (empty-overlap) rows, and the stride
 //    pad. This is the contract that lets CI build the fallback on its
 //    own matrix leg and trust it never rots.
-// 2. The coarse-to-fine candidate pruner: top-k bounds, deterministic
-//    ascending output, the degenerate-query fallback contract, pruned
-//    locate() agreeing with the exact pass, and the effectiveness
-//    metrics exported through the registry.
+// 2. The probabilistic locator's one exact sparse scorer: score_all
+//    against the string-keyed reference on randomized corpora (1000+
+//    slot universes, every min_common_aps regime, pooled sigma on and
+//    off), locate() bit-equal to the arg-max of score_all,
+//    locate_batch bit-equal to locate(), delta-compiled maps bit-equal
+//    to fresh compiles, the non-finite-observation contract, and the
+//    postings gauge exported through the registry.
 
 #include <algorithm>
 #include <bit>
@@ -24,7 +27,7 @@
 
 #include "base/metrics.hpp"
 #include "base/simd.hpp"
-#include "core/candidate_pruner.hpp"
+#include "concurrency/thread_pool.hpp"
 #include "core/probabilistic.hpp"
 #include "core/score_kernels.hpp"
 #include "radio/access_point.hpp"
@@ -89,15 +92,6 @@ TEST(ScoringV2Kernels, NativeBackendBitIdenticalToScalarFallback) {
     const bool nan_query = trial % 5 == 0;   // degenerate observation
     const KernelRow r = random_row(rng, universe, zero_mask, nan_query);
 
-    const auto ps = kernels::prob_score_row<simd::ScalarVec4d>(
-        r.mean.data(), r.mask.data(), r.log_norm.data(),
-        r.inv_two_var.data(), r.q_mean.data(), r.q_present.data(), r.stride);
-    const auto pv = kernels::prob_score_row<simd::Vec4d>(
-        r.mean.data(), r.mask.data(), r.log_norm.data(),
-        r.inv_two_var.data(), r.q_mean.data(), r.q_present.data(), r.stride);
-    EXPECT_TRUE(bits_equal(ps.gauss, pv.gauss)) << "trial " << trial;
-    EXPECT_TRUE(bits_equal(ps.common, pv.common)) << "trial " << trial;
-
     EXPECT_TRUE(bits_equal(
         kernels::sq_dist_row<simd::ScalarVec4d>(r.mean.data(),
                                                 r.q_mean.data(), r.stride),
@@ -128,59 +122,10 @@ TEST(ScoringV2Kernels, NativeBackendBitIdenticalToScalarFallback) {
   }
 }
 
-TEST(ScoringV2Kernels, ObsMajorKernelBitIdenticalToSingleRow) {
-  // The batched locate path puts four observations in the vector lanes
-  // and scores them per row pass; each lane must match the single-query
-  // slot-major kernel bit for bit (and the scalar instantiation must
-  // match the native one).
-  stats::Rng rng(9103);
-  for (int trial = 0; trial < 100; ++trial) {
-    const std::size_t universe = 1 + static_cast<std::size_t>(trial) % 21;
-    const KernelRow row = random_row(rng, universe, trial % 7 == 0, false);
-    KernelRow queries[4];
-    simd::AlignedDoubles qm_t(row.stride * simd::kLanes, 0.0);
-    simd::AlignedDoubles qp_t(row.stride * simd::kLanes, 0.0);
-    for (std::size_t i = 0; i < 4; ++i) {
-      queries[i] = random_row(rng, universe, false, i == 3 && trial % 5 == 0);
-      for (std::size_t u = 0; u < row.stride; ++u) {
-        qm_t[u * simd::kLanes + i] = queries[i].q_mean[u];
-        qp_t[u * simd::kLanes + i] = queries[i].q_present[u];
-      }
-    }
-    simd::Vec4d gauss_n, common_n;
-    simd::ScalarVec4d gauss_s, common_s;
-    kernels::prob_score_row_obs4<simd::Vec4d>(
-        row.mean.data(), row.mask.data(), row.log_norm.data(),
-        row.inv_two_var.data(), qm_t.data(), qp_t.data(), row.stride,
-        &gauss_n, &common_n);
-    kernels::prob_score_row_obs4<simd::ScalarVec4d>(
-        row.mean.data(), row.mask.data(), row.log_norm.data(),
-        row.inv_two_var.data(), qm_t.data(), qp_t.data(), row.stride,
-        &gauss_s, &common_s);
-    alignas(simd::kAlignment) double gn[4], cn[4], gs[4], cs[4];
-    gauss_n.store(gn);
-    common_n.store(cn);
-    gauss_s.store(gs);
-    common_s.store(cs);
-    for (std::size_t i = 0; i < 4; ++i) {
-      const auto single = kernels::prob_score_row<simd::Vec4d>(
-          row.mean.data(), row.mask.data(), row.log_norm.data(),
-          row.inv_two_var.data(), queries[i].q_mean.data(),
-          queries[i].q_present.data(), row.stride);
-      EXPECT_TRUE(bits_equal(gn[i], single.gauss))
-          << "trial " << trial << " q" << i;
-      EXPECT_TRUE(bits_equal(cn[i], single.common))
-          << "trial " << trial << " q" << i;
-      EXPECT_TRUE(bits_equal(gs[i], gn[i])) << "trial " << trial << " q" << i;
-      EXPECT_TRUE(bits_equal(cs[i], cn[i])) << "trial " << trial << " q" << i;
-    }
-  }
-}
-
 TEST(ScoringV2Kernels, SelectOpsBitIdenticalAcrossBackends) {
-  // The batched epilogue's lane-wise selects must agree with the
-  // scalar ternary everywhere, including NaN (compares false -> y)
-  // and signed-zero operands.
+  // The lane-wise selects must agree with the scalar ternary
+  // everywhere, including NaN (compares false -> y) and signed-zero
+  // operands.
   stats::Rng rng(9104);
   const double kNan = std::numeric_limits<double>::quiet_NaN();
   const double kInf = std::numeric_limits<double>::infinity();
@@ -252,144 +197,19 @@ TEST(ScoringV2Kernels, PaddedCellsContributeExactZero) {
   stats::Rng rng(9102);
   const KernelRow r = random_row(rng, 5, false, false);
   ASSERT_GT(r.stride, 5u);
-  double serial_gauss = 0.0, serial_common = 0.0;
+  double serial_n = 0.0, serial_o = 0.0, serial_t = 0.0;
   for (std::size_t u = 0; u < r.stride; ++u) {
-    const double both = r.mask[u] * r.q_present[u];
-    const double d = r.q_mean[u] - r.mean[u];
-    serial_gauss += both * (r.log_norm[u] - d * d * r.inv_two_var[u]);
-    serial_common += both;
+    const double m = r.mask[u] * r.q_present[u];
+    serial_n += m;
+    serial_o += m * r.q_mean[u];
+    serial_t += m * r.mean[u];
   }
-  const auto got = kernels::prob_score_row<simd::Vec4d>(
-      r.mean.data(), r.mask.data(), r.log_norm.data(), r.inv_two_var.data(),
-      r.q_mean.data(), r.q_present.data(), r.stride);
-  EXPECT_NEAR(got.gauss, serial_gauss, 1e-12);
-  EXPECT_EQ(got.common, serial_common);
-}
-
-TEST(CandidatePruner, SmallDatabaseIsDegenerate) {
-  const auto db = testing::make_fixture_db();
-  const auto compiled = CompiledDatabase::compile(db);
-  // top_k >= point count: pruning cannot shrink the work.
-  const ProbabilisticLocator locator(
-      compiled, {.prune_top_k = static_cast<int>(db.size())});
-  const CandidatePruner& pruner = *locator.pruner();
-  const Observation obs = testing::fixture_observation({10.0, 10.0});
-  EXPECT_TRUE(pruner.select(compiled->compile_observation(obs)).empty());
-}
-
-TEST(CandidatePruner, SelectsBoundedSortedCandidates) {
-  // The office floor's 10-ft survey grid yields ~100 training points,
-  // so top_k = 16 genuinely prunes (the paper house has too few rows).
-  const testkit::Scenario scenario(testkit::ScenarioSpec::fleet(
-      4, 16, 71, testkit::SiteModel::kOfficeFloor));
-  const auto compiled = CompiledDatabase::compile(scenario.database());
-  ASSERT_GT(compiled->point_count(), 16u);
-  const ProbabilisticLocator locator(compiled, {.prune_top_k = 16});
-  const CandidatePruner& pruner = *locator.pruner();
-  const auto observations = testkit::observations_from_trace(
-      scenario.record_trace(), 8);
-  ASSERT_FALSE(observations.empty());
-  for (const Observation& obs : observations) {
-    const CompiledObservation q = compiled->compile_observation(obs);
-    const auto candidates = pruner.select(q);
-    if (q.slots.empty()) {
-      EXPECT_TRUE(candidates.empty());
-      continue;
-    }
-    ASSERT_FALSE(candidates.empty());
-    EXPECT_LE(candidates.size(), 16u);
-    for (std::size_t i = 1; i < candidates.size(); ++i) {
-      EXPECT_LT(candidates[i - 1], candidates[i]);
-    }
-    for (const std::uint32_t p : candidates) {
-      EXPECT_LT(p, compiled->point_count());
-    }
-    // Deterministic: same query, same candidates.
-    EXPECT_EQ(pruner.select(q), candidates);
-  }
-}
-
-TEST(CandidatePruner, DegenerateQueriesFallBackToFullPass) {
-  const testkit::Scenario scenario(testkit::ScenarioSpec::fleet(2, 8, 72));
-  const auto compiled = CompiledDatabase::compile(scenario.database());
-  ProbabilisticConfig pruned_cfg;
-  pruned_cfg.prune_top_k = 8;
-  const ProbabilisticLocator pruned(compiled, pruned_cfg);
-  const CandidatePruner& pruner = *pruned.pruner();
-
-  // Empty observation: no in-universe slots.
-  EXPECT_TRUE(
-      pruner.select(compiled->compile_observation(Observation{})).empty());
-
-  // Non-finite readings: the prefilter refuses to rank on NaN.
-  std::vector<radio::ScanRecord> scans(1);
-  scans[0].samples.push_back(
-      {scenario.database().bssid_universe().front(),
-       std::numeric_limits<double>::quiet_NaN(), 1});
-  const Observation nan_obs = Observation::from_scans(scans);
-  EXPECT_TRUE(
-      pruner.select(compiled->compile_observation(nan_obs)).empty());
-
-  // ...and the locator-level contract: pruning never invalidates an
-  // answer (it falls back to the exact full pass instead).
-  const ProbabilisticLocator exact(compiled);
-  const LocationEstimate a = pruned.locate(nan_obs);
-  const LocationEstimate b = exact.locate(nan_obs);
-  EXPECT_EQ(a.valid, b.valid);
-  EXPECT_EQ(a.location_name, b.location_name);
-}
-
-TEST(CandidatePruner, PrunedLocateAgreesWithExactOnFleetScenario) {
-  const testkit::Scenario scenario(testkit::ScenarioSpec::fleet(
-      6, 24, 73, testkit::SiteModel::kOfficeFloor));
-  const auto observations = testkit::observations_from_trace(
-      scenario.record_trace(), 8);
-  ASSERT_FALSE(observations.empty());
-  ProbabilisticConfig pruned_cfg;
-  pruned_cfg.prune_top_k = 24;
-  const testkit::PrunedDifferentialReport report =
-      testkit::run_pruned_differential(scenario.database(), observations,
-                                       pruned_cfg);
-  EXPECT_EQ(report.compared, observations.size());
-  EXPECT_TRUE(report.ok()) << report.to_text();
-  EXPECT_EQ(report.agreement_rate(), 1.0);
-}
-
-TEST(CandidatePruner, ExportsEffectivenessMetrics) {
-  const testkit::Scenario scenario(testkit::ScenarioSpec::fleet(
-      3, 12, 75, testkit::SiteModel::kOfficeFloor));
-  const auto compiled = CompiledDatabase::compile(scenario.database());
-  const auto observations = testkit::observations_from_trace(
-      scenario.record_trace(), 8);
-  ASSERT_FALSE(observations.empty());
-
-  metrics::Counter& queries = metrics::counter("score.prune.queries");
-  metrics::Counter& scored =
-      metrics::counter("score.prune.candidates_scored");
-  metrics::Counter& fallback =
-      metrics::counter("score.prune.fallback_full");
-  const auto q0 = queries.value();
-  const auto s0 = scored.value();
-  const auto f0 = fallback.value();
-
-  ProbabilisticConfig cfg;
-  cfg.prune_top_k = 16;
-  const ProbabilisticLocator locator(compiled, cfg);
-  EXPECT_EQ(metrics::gauge("score.prune.database_points").value(),
-            static_cast<double>(compiled->point_count()));
-
-  for (const Observation& obs : observations) locator.locate(obs);
-  const auto dq = queries.value() - q0;
-  const auto ds = scored.value() - s0;
-  const auto df = fallback.value() - f0;
-  EXPECT_EQ(dq, observations.size());
-  // Every non-fallback query scored at most top_k candidates — the
-  // whole point of pruning.
-  EXPECT_LE(ds, (dq - df) * 16);
-  EXPECT_GT(ds, 0u);
-  // Fallbacks can only come from degenerate queries here, and every
-  // query is either pruned or falls back.
-  EXPECT_LE(df, dq);
+  const auto got = kernels::ssd_moments_row<simd::Vec4d>(
+      r.mean.data(), r.mask.data(), r.q_mean.data(), r.q_present.data(),
+      r.stride);
+  EXPECT_EQ(got.n, serial_n);
+  EXPECT_NEAR(got.sum_o, serial_o, 1e-12);
+  EXPECT_NEAR(got.sum_t, serial_t, 1e-12);
 }
 
 /// Campus-cardinality fixture: `points` training rows over a >1000
@@ -428,57 +248,362 @@ Observation wide_observation(int first_ap, int count, double dbm = -50.0) {
   return Observation::from_scans(scans);
 }
 
-// Campus-cardinality audit: slot bookkeeping past the 1000-AP mark.
-// The postings walk, the coarse ranking, and the pruned locate()
-// agreement must hold when slot indices no longer fit habits formed
-// on 4-AP sites.
-TEST(CandidatePruner, HandlesAThousandSlotUniverse) {
-  const auto db = make_wide_universe_db();  // 40*26+30-26 = 1044 slots
-  const auto compiled = CompiledDatabase::compile(db);
-  ASSERT_GT(compiled->universe_size(), 1000u);
-
-  // Pruned and exact probabilistic locates agree across the universe.
-  ProbabilisticConfig pruned_cfg;
-  pruned_cfg.prune_top_k = 8;
-  const ProbabilisticLocator exact(compiled);
-  const ProbabilisticLocator pruned(compiled, pruned_cfg);
-  const CandidatePruner& pruner = *pruned.pruner();
-  for (const int first : {0, 511, 1010}) {
-    const Observation obs = wide_observation(first, 8);
-    const CompiledObservation q = compiled->compile_observation(obs);
-    ASSERT_EQ(q.in_universe(), 8);
-    const auto candidates = pruner.select(q);
-    ASSERT_FALSE(candidates.empty());
-    EXPECT_LE(candidates.size(), 8u);
-    // The row actually trained on this window must survive pruning.
-    const std::uint32_t owner = static_cast<std::uint32_t>(first / 26);
-    EXPECT_TRUE(std::find(candidates.begin(), candidates.end(), owner) !=
-                candidates.end())
-        << "window at " << first;
+/// Random corpus over `universe_n` synthetic BSSIDs: each row trains
+/// each slot with probability `density` (at least one slot per row),
+/// with per-row sigmas and sample counts so pooled sigma has real
+/// weights to pool.
+traindb::TrainingDatabase random_corpus(stats::Rng& rng, int points,
+                                        int universe_n, double density) {
+  std::vector<traindb::TrainingPoint> rows(static_cast<std::size_t>(points));
+  for (int p = 0; p < points; ++p) {
+    traindb::TrainingPoint& tp = rows[static_cast<std::size_t>(p)];
+    tp.location = "r" + std::to_string(p);
+    tp.position = {rng.uniform(0.0, 300.0), rng.uniform(0.0, 200.0)};
+    const int anchor = static_cast<int>(rng.uniform_int(0, universe_n - 1));
+    for (int a = 0; a < universe_n; ++a) {
+      if (a != anchor && !rng.bernoulli(density)) continue;
+      traindb::ApStatistics s;
+      s.bssid = radio::synthetic_bssid(a);
+      s.mean_dbm = rng.uniform(-95.0, -35.0);
+      s.stddev_db = rng.uniform(0.0, 6.0);
+      s.sample_count = static_cast<std::uint32_t>(rng.uniform_int(1, 90));
+      s.scan_count = 90;
+      s.min_dbm = s.mean_dbm - 5.0;
+      s.max_dbm = s.mean_dbm + 5.0;
+      tp.per_ap.push_back(std::move(s));
+    }
   }
+  return traindb::TrainingDatabase::from_points(std::move(rows), "random");
+}
 
-  for (const int first : {3, 700, 1020}) {
-    const Observation obs = wide_observation(first, 10);
-    const LocationEstimate a = exact.locate(obs);
-    const LocationEstimate b = pruned.locate(obs);
-    ASSERT_TRUE(a.valid);
-    ASSERT_TRUE(b.valid);
-    EXPECT_EQ(b.location_name, a.location_name);
-    EXPECT_EQ(b.score, a.score);
+/// A query near one row: most of that row's APs with noisy means,
+/// plus stray universe APs and a few rogues outside the universe.
+Observation random_query(stats::Rng& rng, const traindb::TrainingDatabase& db,
+                         int universe_n) {
+  const auto& near = db.points()[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(db.size()) - 1))];
+  std::vector<radio::ScanRecord> scans(1);
+  for (const traindb::ApStatistics& s : near.per_ap) {
+    if (rng.bernoulli(0.3)) continue;
+    scans[0].samples.push_back(
+        {s.bssid, s.mean_dbm + rng.uniform(-8.0, 8.0), 1});
+  }
+  const int strays = static_cast<int>(rng.uniform_int(0, 6));
+  for (int k = 0; k < strays; ++k) {
+    scans[0].samples.push_back(
+        {radio::synthetic_bssid(
+             static_cast<int>(rng.uniform_int(0, universe_n - 1))),
+         rng.uniform(-100.0, -40.0), 1});
+  }
+  const int rogues = static_cast<int>(rng.uniform_int(0, 2));
+  for (int r = 0; r < rogues; ++r) {
+    scans[0].samples.push_back(
+        {"rogue:" + std::to_string(r), rng.uniform(-90.0, -40.0), 1});
+  }
+  return Observation::from_scans(scans);
+}
+
+/// One randomized corpus with its queries.
+struct Corpus {
+  traindb::TrainingDatabase db;
+  std::vector<Observation> queries;
+};
+
+/// Small, office-sized and campus-sized (1000-slot, ~8% dense)
+/// corpora, plus the contiguous-window 1044-slot universe.
+std::vector<Corpus> random_corpora(std::uint64_t seed) {
+  stats::Rng rng(seed);
+  std::vector<Corpus> out;
+  const struct {
+    int points, universe;
+    double density;
+  } shapes[] = {{12, 5, 0.6}, {40, 30, 0.4}, {60, 1000, 0.08}};
+  for (const auto& shape : shapes) {
+    for (int trial = 0; trial < 3; ++trial) {
+      Corpus c{random_corpus(rng, shape.points, shape.universe,
+                             shape.density),
+               {}};
+      for (int q = 0; q < 8; ++q) {
+        c.queries.push_back(random_query(rng, c.db, shape.universe));
+      }
+      out.push_back(std::move(c));
+    }
+  }
+  Corpus wide{make_wide_universe_db(), {}};
+  for (int q = 0; q < 8; ++q) {
+    wide.queries.push_back(random_query(rng, wide.db, 1044));
+  }
+  // Zero overlap with every row: only min_common_aps = 0 scores it.
+  wide.queries.push_back(Observation{});
+  out.push_back(std::move(wide));
+  return out;
+}
+
+std::vector<ProbabilisticConfig> scorer_configs() {
+  std::vector<ProbabilisticConfig> configs;
+  for (const int min_common : {0, 1, 3}) {
+    for (const bool pooled : {false, true}) {
+      ProbabilisticConfig cfg;
+      cfg.min_common_aps = min_common;
+      cfg.use_pooled_sigma = pooled;
+      configs.push_back(cfg);
+    }
+  }
+  return configs;
+}
+
+void expect_same_estimate(const LocationEstimate& got,
+                          const LocationEstimate& want,
+                          const std::string& where) {
+  EXPECT_EQ(got.valid, want.valid) << where;
+  EXPECT_EQ(got.location_name, want.location_name) << where;
+  EXPECT_TRUE(bits_equal(got.position.x, want.position.x)) << where;
+  EXPECT_TRUE(bits_equal(got.position.y, want.position.y)) << where;
+  EXPECT_TRUE(bits_equal(got.score, want.score)) << where;
+  EXPECT_EQ(got.aps_used, want.aps_used) << where;
+}
+
+TEST(SparseScorer, ScoreAllMatchesReferenceOnRandomizedCorpora) {
+  const double tol = testkit::DifferentialConfig{}.score_tol;
+  for (const Corpus& c : random_corpora(9200)) {
+    const auto compiled = CompiledDatabase::compile(c.db);
+    for (const ProbabilisticConfig& cfg : scorer_configs()) {
+      const ProbabilisticLocator locator(compiled, cfg);
+      for (std::size_t q = 0; q < c.queries.size(); ++q) {
+        const auto scores = locator.score_all(c.queries[q]);
+        ASSERT_EQ(scores.size(), c.db.size());
+        for (std::size_t p = 0; p < c.db.size(); ++p) {
+          int common = 0;
+          const double ref =
+              locator.log_likelihood(c.queries[q], c.db.points()[p], &common);
+          const std::string where =
+              c.db.site_name() + " u=" +
+              std::to_string(compiled->universe_size()) + " min=" +
+              std::to_string(cfg.min_common_aps) + " pooled=" +
+              std::to_string(cfg.use_pooled_sigma) + " q" +
+              std::to_string(q) + " row " + std::to_string(p);
+          EXPECT_EQ(scores[p].point, &c.db.points()[p]) << where;
+          EXPECT_EQ(scores[p].common_aps, common) << where;
+          if (common < cfg.min_common_aps) {
+            EXPECT_EQ(scores[p].log_likelihood,
+                      -std::numeric_limits<double>::infinity())
+                << where;
+          } else {
+            EXPECT_NEAR(scores[p].log_likelihood, ref, tol) << where;
+          }
+        }
+      }
+    }
   }
 }
 
-// Campus-scale recall regression: the likelihood charges a flat
-// penalty per visibility disagreement, so a sparsely trained row (one
-// exact AP, five cheap penalties) beats a densely trained row that
-// misfits every observed AP by 15 dB. A pruner that seeds candidates
-// from the strongest observed APs only never even visits that row —
-// it is not posted under the strongest observed AP — which is exactly
-// how the pruned path once lost top-1 parity on generated campuses.
-// The pruner seeds from every observed AP and ranks with the
-// locator's own restricted score, so it must recover the sparse
-// winner bit for bit.
-TEST(CandidatePruner, MlModeRecallsSparseWinnerTheGapMetricPrunes) {
+TEST(SparseScorer, LocateIsBitEqualToTheArgMaxOfScoreAll) {
+  for (const Corpus& c : random_corpora(9201)) {
+    const auto compiled = CompiledDatabase::compile(c.db);
+    for (const ProbabilisticConfig& cfg : scorer_configs()) {
+      const ProbabilisticLocator locator(compiled, cfg);
+      for (std::size_t q = 0; q < c.queries.size(); ++q) {
+        const auto scores = locator.score_all(c.queries[q]);
+        // First strictly-greater maximum wins; -inf rows never do, and
+        // an empty observation is invalid whatever the penalties say.
+        LocationEstimate want;
+        double best = -std::numeric_limits<double>::infinity();
+        for (const ScoredPoint& sp : scores) {
+          if (!c.queries[q].empty() && sp.log_likelihood > best) {
+            best = sp.log_likelihood;
+            want.valid = true;
+            want.position = sp.point->position;
+            want.location_name = sp.point->location;
+            want.score = sp.log_likelihood;
+            want.aps_used = sp.common_aps;
+          }
+        }
+        expect_same_estimate(locator.locate(c.queries[q]), want,
+                             "min=" + std::to_string(cfg.min_common_aps) +
+                                 " q" + std::to_string(q));
+      }
+    }
+  }
+}
+
+TEST(SparseScorer, LocateBatchBitEqualToLocateWithAndWithoutPool) {
+  const testkit::Scenario scenario(testkit::ScenarioSpec::fleet(
+      6, 24, 73, testkit::SiteModel::kOfficeFloor));
+  std::vector<Observation> batch =
+      testkit::observations_from_trace(scenario.record_trace(), 8);
+  ASSERT_GT(batch.size(), 8u);
+  // Degenerate members ride along: empty, and a NaN in-universe mean.
+  batch.insert(batch.begin() + 3, Observation{});
+  std::vector<radio::ScanRecord> scans(1);
+  scans[0].samples.push_back({scenario.database().bssid_universe().front(),
+                              std::numeric_limits<double>::quiet_NaN(), 1});
+  batch.push_back(Observation::from_scans(scans));
+
+  concurrency::ThreadPool pool(3);
+  for (const ProbabilisticConfig& cfg : scorer_configs()) {
+    const ProbabilisticLocator locator(scenario.database(), cfg);
+    const auto serial = locator.locate_batch(batch);
+    const auto pooled = locator.locate_batch(batch, &pool);
+    ASSERT_EQ(serial.size(), batch.size());
+    ASSERT_EQ(pooled.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const LocationEstimate want = locator.locate(batch[i]);
+      expect_same_estimate(serial[i], want, "serial #" + std::to_string(i));
+      expect_same_estimate(pooled[i], want, "pooled #" + std::to_string(i));
+    }
+  }
+}
+
+TEST(SparseScorer, DeltaCompiledLocatorBitEqualToFreshCompile) {
+  stats::Rng rng(9202);
+  for (const int universe_n : {30, 1000}) {
+    const auto base = random_corpus(rng, 40, universe_n, 0.1);
+    // Replace two rows (one of them now trains new slots past the old
+    // universe) and append one.
+    const auto extra = random_corpus(rng, 3, universe_n + 20, 0.15);
+    DatabaseDelta delta;
+    for (std::size_t i = 0; i < extra.size(); ++i) {
+      traindb::TrainingPoint tp = extra.points()[i];
+      tp.location = i < 2 ? base.points()[5 * i + 1].location : "appended";
+      delta.upserts.push_back(std::move(tp));
+    }
+    std::vector<traindb::TrainingPoint> merged = base.points();
+    merged[1] = delta.upserts[0];
+    merged[6] = delta.upserts[1];
+    merged.push_back(delta.upserts[2]);
+
+    const auto delta_compiled =
+        CompiledDatabase::compile(base)->delta_compile(delta);
+    const auto fresh = CompiledDatabase::compile_owned(
+        traindb::TrainingDatabase::from_points(std::move(merged),
+                                               base.site_name()));
+    ASSERT_EQ(delta_compiled->universe_size(), fresh->universe_size());
+    for (const ProbabilisticConfig& cfg : scorer_configs()) {
+      const ProbabilisticLocator a(delta_compiled, cfg);
+      const ProbabilisticLocator b(fresh, cfg);
+      EXPECT_EQ(a.posting_count(), b.posting_count());
+      EXPECT_EQ(a.scorer_bytes(), b.scorer_bytes());
+      for (int q = 0; q < 8; ++q) {
+        const Observation obs =
+            random_query(rng, fresh->database(), universe_n + 20);
+        const auto sa = a.score_all(obs);
+        const auto sb = b.score_all(obs);
+        ASSERT_EQ(sa.size(), sb.size());
+        for (std::size_t p = 0; p < sa.size(); ++p) {
+          EXPECT_EQ(sa[p].point->location, sb[p].point->location);
+          EXPECT_TRUE(bits_equal(sa[p].log_likelihood, sb[p].log_likelihood))
+              << "u=" << universe_n << " q" << q << " row " << p;
+          EXPECT_EQ(sa[p].common_aps, sb[p].common_aps);
+        }
+        expect_same_estimate(a.locate(obs), b.locate(obs),
+                             "u=" + std::to_string(universe_n) + " q" +
+                                 std::to_string(q));
+      }
+    }
+  }
+}
+
+// Regression: a NaN mean must not poison the scores into a "valid"
+// answer at row 0 with score NaN. A non-finite mean on an in-universe
+// AP makes the observation degenerate for every entry point.
+TEST(SparseScorer, NonFiniteObservationIsInvalid) {
+  const testkit::Scenario scenario(testkit::ScenarioSpec::fleet(2, 8, 72));
+  const ProbabilisticLocator locator(scenario.database());
+  const auto& universe = scenario.database().bssid_universe();
+  ASSERT_GE(universe.size(), 3u);
+
+  std::vector<radio::ScanRecord> nan_only(1);
+  nan_only[0].samples.push_back(
+      {universe.front(), std::numeric_limits<double>::quiet_NaN(), 1});
+  std::vector<radio::ScanRecord> mixed(1);
+  mixed[0].samples.push_back({universe[0], -55.0, 1});
+  mixed[0].samples.push_back(
+      {universe[1], std::numeric_limits<double>::infinity(), 1});
+  mixed[0].samples.push_back({universe[2], -70.0, 1});
+  const std::vector<Observation> degenerate = {
+      Observation::from_scans(nan_only), Observation::from_scans(mixed)};
+
+  concurrency::ThreadPool pool(2);
+  for (const Observation& obs : degenerate) {
+    EXPECT_FALSE(locator.locate(obs).valid);
+    for (const ScoredPoint& sp : locator.score_all(obs)) {
+      EXPECT_EQ(sp.log_likelihood, -std::numeric_limits<double>::infinity());
+    }
+  }
+  for (const auto& est : locator.locate_batch(degenerate)) {
+    EXPECT_FALSE(est.valid);
+  }
+  for (const auto& est : locator.locate_batch(degenerate, &pool)) {
+    EXPECT_FALSE(est.valid);
+  }
+  EXPECT_FALSE(locator.locate(Observation{}).valid);
+
+  // A NaN outside the universe touches no row: it only counts as an
+  // observed-but-untrained AP, as any rogue does.
+  std::vector<radio::ScanRecord> rogue(1);
+  rogue[0].samples.push_back({universe[0], -55.0, 1});
+  rogue[0].samples.push_back(
+      {"rogue:nan", std::numeric_limits<double>::quiet_NaN(), 1});
+  const LocationEstimate est = locator.locate(Observation::from_scans(rogue));
+  EXPECT_TRUE(est.valid);
+  EXPECT_TRUE(std::isfinite(est.score));
+}
+
+TEST(SparseScorer, ExportsPostingsGauge) {
+  const testkit::Scenario scenario(testkit::ScenarioSpec::fleet(
+      3, 12, 75, testkit::SiteModel::kOfficeFloor));
+  const auto compiled = CompiledDatabase::compile(scenario.database());
+  const ProbabilisticLocator locator(compiled);
+
+  std::size_t trained = 0;
+  for (std::size_t p = 0; p < compiled->point_count(); ++p) {
+    trained += static_cast<std::size_t>(compiled->trained_count(p));
+  }
+  const std::size_t cells =
+      compiled->point_count() * compiled->universe_size();
+  EXPECT_EQ(locator.posting_count(), trained);
+  EXPECT_GT(locator.posting_count(), 0u);
+  EXPECT_LE(locator.posting_count(), cells);
+  EXPECT_GT(locator.scorer_bytes(), 0u);
+  EXPECT_EQ(metrics::gauge("score.postings").value(),
+            static_cast<double>(trained));
+  EXPECT_EQ(metrics::gauge("score.dense_cells").value(),
+            static_cast<double>(cells));
+}
+
+// Campus-cardinality audit: slot bookkeeping past the 1000-AP mark,
+// up to the universe's last slot, where slot indices no longer fit
+// habits formed on 4-AP sites.
+TEST(SparseScorer, HandlesAThousandSlotUniverse) {
+  const auto db = make_wide_universe_db();  // 40*26+30-26 = 1044 slots
+  const auto compiled = CompiledDatabase::compile(db);
+  ASSERT_GT(compiled->universe_size(), 1000u);
+  const ProbabilisticLocator locator(compiled);
+  for (const int first : {0, 511, 1010, 1036}) {
+    const Observation obs = wide_observation(first, 8);
+    ASSERT_EQ(compiled->compile_observation(obs).in_universe(), 8);
+    // The row whose training window holds the whole query wins.
+    const std::size_t owner = static_cast<std::size_t>(
+        std::min(first / 26, 39));
+    const LocationEstimate est = locator.locate(obs);
+    ASSERT_TRUE(est.valid) << "window at " << first;
+    EXPECT_EQ(est.location_name, "w" + std::to_string(owner));
+    EXPECT_EQ(est.aps_used, 8);
+    const auto scores = locator.score_all(obs);
+    EXPECT_TRUE(bits_equal(est.score, scores[owner].log_likelihood));
+    int common = 0;
+    EXPECT_NEAR(est.score,
+                locator.log_likelihood(obs, db.points()[owner], &common),
+                testkit::DifferentialConfig{}.score_tol);
+    EXPECT_EQ(common, 8);
+  }
+}
+
+// The likelihood charges a flat penalty per visibility disagreement,
+// so a sparsely trained row (one exact AP, five cheap penalties) beats
+// densely trained rows that misfit every observed AP by 15 dB. The
+// scorer must find that winner, which only a handful of postings name.
+TEST(SparseScorer, SparselyTrainedRowWinsOnPenalties) {
   auto trained = [](int ap, double mean) {
     traindb::ApStatistics s;
     s.bssid = radio::synthetic_bssid(ap);
@@ -491,11 +616,12 @@ TEST(CandidatePruner, MlModeRecallsSparseWinnerTheGapMetricPrunes) {
     return s;
   };
   std::vector<traindb::TrainingPoint> rows(3);
-  for (int p = 0; p < 2; ++p) {
+  for (std::size_t p = 0; p < 2; ++p) {
+    const double offset = static_cast<double>(p);
     rows[p].location = "dense" + std::to_string(p);
-    rows[p].position = {10.0 * p, 0.0};
+    rows[p].position = {10.0 * offset, 0.0};
     for (int a = 0; a < 6; ++a) {
-      rows[p].per_ap.push_back(trained(a, -60.0 - p));
+      rows[p].per_ap.push_back(trained(a, -60.0 - offset));
     }
   }
   rows[2].location = "sparse";
@@ -503,7 +629,6 @@ TEST(CandidatePruner, MlModeRecallsSparseWinnerTheGapMetricPrunes) {
   rows[2].per_ap.push_back(trained(5, -70.0));
   const auto db =
       traindb::TrainingDatabase::from_points(std::move(rows), "ml-recall");
-  const auto compiled = CompiledDatabase::compile(db);
 
   std::vector<radio::ScanRecord> scans(1);
   for (int a = 0; a < 5; ++a) {
@@ -512,20 +637,12 @@ TEST(CandidatePruner, MlModeRecallsSparseWinnerTheGapMetricPrunes) {
   scans[0].samples.push_back({radio::synthetic_bssid(5), -70.0, 1});
   const Observation obs = Observation::from_scans(scans);
 
-  const ProbabilisticLocator exact(compiled);
-  const LocationEstimate e = exact.locate(obs);
+  const ProbabilisticLocator locator(db);
+  const LocationEstimate e = locator.locate(obs);
   ASSERT_TRUE(e.valid);
-  ASSERT_EQ(e.location_name, "sparse");
-
-  // The pruned locator must keep the exact winner.
-  ProbabilisticConfig pruned_cfg;
-  pruned_cfg.prune_top_k = 1;
-  const ProbabilisticLocator pruned(compiled, pruned_cfg);
-  const LocationEstimate p = pruned.locate(obs);
-  ASSERT_TRUE(p.valid);
-  EXPECT_EQ(p.location_name, e.location_name);
-  EXPECT_EQ(p.score, e.score);
+  EXPECT_EQ(e.location_name, "sparse");
+  EXPECT_EQ(e.aps_used, 1);
+  EXPECT_TRUE(bits_equal(e.score, locator.score_all(obs)[2].log_likelihood));
 }
-
 }  // namespace
 }  // namespace loctk::core

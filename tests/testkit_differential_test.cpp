@@ -80,25 +80,6 @@ TEST(DifferentialOracle, DetectsAPlantedDisagreement) {
   }
 }
 
-TEST(DifferentialOracle, PrunedPathAgreesWithExactOnRecordedTrace) {
-  // Office floor: ~100 training points, so top_k = 24 genuinely
-  // prunes instead of degenerating to the full pass.
-  const Scenario scenario(ScenarioSpec::fleet(4, 24, /*seed=*/31,
-                                              SiteModel::kOfficeFloor));
-  const auto observations =
-      observations_from_trace(scenario.record_trace(), 8);
-  ASSERT_FALSE(observations.empty());
-  core::ProbabilisticConfig prune_config;
-  prune_config.prune_top_k = 24;
-  const PrunedDifferentialReport report = run_pruned_differential(
-      scenario.database(), observations, prune_config);
-  EXPECT_EQ(report.observations, observations.size());
-  // One locator pair (probabilistic), pruned vs exact.
-  EXPECT_EQ(report.compared, observations.size());
-  EXPECT_TRUE(report.ok()) << report.to_text();
-  EXPECT_EQ(report.agreement_rate(), 1.0);
-}
-
 TEST(DifferentialOracle, ReportFormatsMismatches) {
   DifferentialReport report;
   report.observations = 3;
