@@ -1,6 +1,7 @@
 // PERF — the zero-copy ingest pipeline: seed istream parsing vs the
-// buffer-oriented scanner, end-to-end training-database generation
-// serial vs parallel, and training-database load paths.
+// buffer-oriented scanner, training-database generation (end to end
+// from a path, and from a loaded collection) serial vs pooled, and
+// training-database load paths.
 //
 // Workload: a synthetic survey corpus written to a temp directory —
 // 64 locations x 150 scan passes x ~8 APs per pass (~75k rows,
@@ -20,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -346,6 +348,26 @@ void BM_GeneratorE2E_BufferParallel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GeneratorE2E_BufferParallel)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+// The materialized generator over a loaded collection: serial
+// (Arg 0) and one task per location on a pool of Arg threads.
+void BM_GenerateDatabase(benchmark::State& state) {
+  const IngestCorpus& c = corpus();
+  const wiscan::Collection collection =
+      wiscan::load_collection(c.dir / "scans");
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  std::optional<concurrency::ThreadPool> pool;
+  if (threads > 0) pool.emplace(threads);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(traindb::generate_database(
+        collection, c.map, {}, nullptr, pool ? &*pool : nullptr));
+  }
+}
+BENCHMARK(BM_GenerateDatabase)
+    ->Arg(0)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);

@@ -61,7 +61,7 @@ void BM_GenerateParallel(benchmark::State& state) {
       static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        traindb::generate_database_parallel(c.collection, c.map, pool));
+        traindb::generate_database(c.collection, c.map, {}, nullptr, &pool));
   }
 }
 BENCHMARK(BM_GenerateParallel)->Arg(2)->Arg(4)->Arg(8)

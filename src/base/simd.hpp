@@ -88,24 +88,6 @@ struct ScalarVec4d {
              lane[3] * o.lane[3]}};
   }
 
-  /// Lane-wise a > b ? x : y. NaN compares false (→ y), matching the
-  /// ordered-quiet comparisons the native backends use.
-  static ScalarVec4d select_gt(const ScalarVec4d& a, const ScalarVec4d& b,
-                               const ScalarVec4d& x, const ScalarVec4d& y) {
-    return {{a.lane[0] > b.lane[0] ? x.lane[0] : y.lane[0],
-             a.lane[1] > b.lane[1] ? x.lane[1] : y.lane[1],
-             a.lane[2] > b.lane[2] ? x.lane[2] : y.lane[2],
-             a.lane[3] > b.lane[3] ? x.lane[3] : y.lane[3]}};
-  }
-  /// Lane-wise a >= b ? x : y (NaN → y).
-  static ScalarVec4d select_ge(const ScalarVec4d& a, const ScalarVec4d& b,
-                               const ScalarVec4d& x, const ScalarVec4d& y) {
-    return {{a.lane[0] >= b.lane[0] ? x.lane[0] : y.lane[0],
-             a.lane[1] >= b.lane[1] ? x.lane[1] : y.lane[1],
-             a.lane[2] >= b.lane[2] ? x.lane[2] : y.lane[2],
-             a.lane[3] >= b.lane[3] ? x.lane[3] : y.lane[3]}};
-  }
-
   /// Fixed reduction tree shared by every backend: (l0+l2) + (l1+l3).
   double hsum() const {
     return (lane[0] + lane[2]) + (lane[1] + lane[3]);
@@ -136,17 +118,6 @@ struct Avx2Vec4d {
   }
   Avx2Vec4d operator*(const Avx2Vec4d& o) const {
     return {_mm256_mul_pd(v, o.v)};
-  }
-
-  static Avx2Vec4d select_gt(const Avx2Vec4d& a, const Avx2Vec4d& b,
-                             const Avx2Vec4d& x, const Avx2Vec4d& y) {
-    return {_mm256_blendv_pd(y.v, x.v,
-                             _mm256_cmp_pd(a.v, b.v, _CMP_GT_OQ))};
-  }
-  static Avx2Vec4d select_ge(const Avx2Vec4d& a, const Avx2Vec4d& b,
-                             const Avx2Vec4d& x, const Avx2Vec4d& y) {
-    return {_mm256_blendv_pd(y.v, x.v,
-                             _mm256_cmp_pd(a.v, b.v, _CMP_GE_OQ))};
   }
 
   double hsum() const {
@@ -193,17 +164,6 @@ struct NeonVec4d {
   }
   NeonVec4d operator*(const NeonVec4d& o) const {
     return {vmulq_f64(lo, o.lo), vmulq_f64(hi, o.hi)};
-  }
-
-  static NeonVec4d select_gt(const NeonVec4d& a, const NeonVec4d& b,
-                             const NeonVec4d& x, const NeonVec4d& y) {
-    return {vbslq_f64(vcgtq_f64(a.lo, b.lo), x.lo, y.lo),
-            vbslq_f64(vcgtq_f64(a.hi, b.hi), x.hi, y.hi)};
-  }
-  static NeonVec4d select_ge(const NeonVec4d& a, const NeonVec4d& b,
-                             const NeonVec4d& x, const NeonVec4d& y) {
-    return {vbslq_f64(vcgeq_f64(a.lo, b.lo), x.lo, y.lo),
-            vbslq_f64(vcgeq_f64(a.hi, b.hi), x.hi, y.hi)};
   }
 
   double hsum() const {

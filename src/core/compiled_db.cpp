@@ -209,12 +209,8 @@ std::shared_ptr<const CompiledDatabase> compile_collection(
     const wiscan::Collection& collection, const wiscan::LocationMap& map,
     const traindb::GeneratorConfig& config,
     traindb::GeneratorReport* report, concurrency::ThreadPool* pool) {
-  traindb::TrainingDatabase db =
-      pool != nullptr
-          ? traindb::generate_database_parallel(collection, map, *pool,
-                                                config, report)
-          : traindb::generate_database(collection, map, config, report);
-  return CompiledDatabase::compile_owned(std::move(db));
+  return CompiledDatabase::compile_owned(
+      traindb::generate_database(collection, map, config, report, pool));
 }
 
 std::shared_ptr<const CompiledDatabase> load_compiled_database(

@@ -2,26 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+
+#include "wiscan/bucket_table.hpp"
 
 namespace loctk::core {
 
 namespace {
 
-// Shared grouping: BSSID -> readings, already sorted by the map.
-std::vector<ObservedAp> to_aps(
-    const std::map<std::string, std::vector<double>>& grouped) {
+// One ObservedAp per bucket, BSSID-ascending; the mean is the sum in
+// capture order over n, and the readings move into `samples_dbm`.
+std::vector<ObservedAp> observed_aps(wiscan::BucketTable& table) {
   std::vector<ObservedAp> aps;
-  aps.reserve(grouped.size());
-  for (const auto& [bssid, samples] : grouped) {
+  aps.reserve(table.buckets.size());
+  for (wiscan::BucketTable::Bucket& bucket : table.buckets) {
     ObservedAp ap;
-    ap.bssid = bssid;
-    ap.sample_count = static_cast<std::uint32_t>(samples.size());
+    ap.bssid = bucket.bssid;
+    ap.sample_count = static_cast<std::uint32_t>(bucket.rows.size());
     double sum = 0.0;
-    for (const double s : samples) sum += s;
-    ap.mean_dbm =
-        samples.empty() ? 0.0 : sum / static_cast<double>(samples.size());
-    ap.samples_dbm = samples;
+    for (const double s : bucket.rows) sum += s;
+    ap.mean_dbm = sum / static_cast<double>(bucket.rows.size());
+    ap.samples_dbm = std::move(bucket.rows);
     aps.push_back(std::move(ap));
   }
   return aps;
@@ -31,25 +31,23 @@ std::vector<ObservedAp> to_aps(
 
 Observation Observation::from_scans(
     const std::vector<radio::ScanRecord>& scans) {
-  std::map<std::string, std::vector<double>> grouped;
+  wiscan::BucketTable table;
   for (const radio::ScanRecord& scan : scans) {
     for (const radio::ScanSample& s : scan.samples) {
-      grouped[s.bssid].push_back(s.rssi_dbm);
+      table.add(s.bssid, s.rssi_dbm, scans.size());
     }
   }
   Observation obs;
-  obs.aps_ = to_aps(grouped);
+  obs.aps_ = observed_aps(table);
   return obs;
 }
 
 Observation Observation::from_entries(
     const std::vector<wiscan::WiScanEntry>& entries) {
-  std::map<std::string, std::vector<double>> grouped;
-  for (const wiscan::WiScanEntry& e : entries) {
-    grouped[e.bssid].push_back(e.rssi_dbm);
-  }
+  wiscan::BucketTable table;
+  for (const wiscan::WiScanEntry& e : entries) table.add(e.bssid, e.rssi_dbm);
   Observation obs;
-  obs.aps_ = to_aps(grouped);
+  obs.aps_ = observed_aps(table);
   return obs;
 }
 

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
 #include <utility>
 
-#include "stats/running_stats.hpp"
+#include "traindb/generator.hpp"
+#include "wiscan/bucket_table.hpp"
 
 namespace loctk::lifecycle {
 
@@ -35,10 +35,9 @@ Result<traindb::TrainingPoint> SurveyIntake::submit(
             " scans, need " + std::to_string(config_.min_scans)));
   }
 
-  // One bucket per BSSID across every scan pass; ordered map so the
-  // per-AP list comes out sorted (from_points would re-sort anyway —
-  // this just keeps the staged point canonical).
-  std::map<std::string, stats::RunningStats> buckets;
+  // One bucket per BSSID across every scan pass, summarized with the
+  // generator's arithmetic so a resurveyed row matches an original one.
+  wiscan::BucketTable buckets;
   for (const radio::ScanRecord& scan : dwell.scans) {
     for (const radio::ScanSample& sample : scan.samples) {
       if (!std::isfinite(sample.rssi_dbm)) {
@@ -52,25 +51,15 @@ Result<traindb::TrainingPoint> SurveyIntake::submit(
                       sample.rssi_dbm, sample.bssid.c_str());
         return quarantine(Error(ErrorCode::kCorrupt, buf));
       }
-      buckets[sample.bssid].add(sample.rssi_dbm);
+      buckets.add(sample.bssid, sample.rssi_dbm, dwell.scans.size());
     }
   }
 
-  traindb::TrainingPoint point;
-  point.location = dwell.location;
-  point.position = dwell.position;
-  for (const auto& [bssid, rs] : buckets) {
-    if (rs.count() < config_.min_samples_per_ap) continue;
-    traindb::ApStatistics ap;
-    ap.bssid = bssid;
-    ap.mean_dbm = rs.mean();
-    ap.stddev_db = rs.stddev();
-    ap.sample_count = static_cast<std::uint32_t>(rs.count());
-    ap.scan_count = static_cast<std::uint32_t>(dwell.scans.size());
-    ap.min_dbm = rs.min();
-    ap.max_dbm = rs.max();
-    point.per_ap.push_back(std::move(ap));
-  }
+  const traindb::TrainingPoint point{
+      dwell.location, dwell.position,
+      traindb::summarize_aps(buckets, dwell.scans.size(),
+                             config_.min_samples_per_ap,
+                             /*keep_samples=*/false)};
   if (point.per_ap.empty()) {
     return quarantine(Error(ErrorCode::kDegenerate,
                             "no AP survived the min-samples cut"));

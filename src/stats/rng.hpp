@@ -33,9 +33,14 @@ class Rng {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
 
-  /// Normal draw.
+  /// Normal draw, as z * sigma + mean from a standard normal z — the
+  /// arithmetic of libstdc++'s `normal_distribution(mean, sigma)`, so
+  /// values and engine position match it bit for bit. Unlike that
+  /// distribution it accepts sigma = 0 (a noiseless channel); the draw
+  /// still happens, so later draws do not shift.
   double normal(double mean = 0.0, double sigma = 1.0) {
-    return std::normal_distribution<double>(mean, sigma)(engine_);
+    const double z = std::normal_distribution<double>()(engine_);
+    return z * sigma + mean;
   }
 
   /// Bernoulli draw with probability p of true.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "base/metrics.hpp"
@@ -38,107 +37,56 @@ metrics::HistogramMetric& generate_seconds_histogram() {
   return h;
 }
 
-constexpr std::size_t kNoBucket = static_cast<std::size_t>(-1);
-
-// Per-BSSID grouping used by both the materialized and the streaming
-// aggregation paths. A survey file has thousands of rows but only a
-// handful of distinct APs, so the table keeps a bssid-sorted vector of
-// buckets and binary-searches each row into place: O(n log k) string
-// compares with tiny k, versus the O(n log n) of sorting every row.
-// Scan passes also visit APs in a stable order, so each bucket
-// remembers which bucket the next row landed in last time; that
-// one-step prediction usually replaces the search with a single
-// equality check. Buckets stay in ascending BSSID order with capture
-// order preserved inside each — the same <key order, sample order>
-// the seed's std::map grouping produced, without a node allocation
-// per entry.
-template <typename Row>
-struct BucketTable {
-  struct Bucket {
-    std::string_view bssid;
-    std::vector<Row> rows;
-    std::size_t next_pred = kNoBucket;
-  };
-  std::vector<Bucket> buckets;
-  std::size_t predicted = kNoBucket;
-  std::size_t previous = kNoBucket;
-
-  void add(std::string_view key, Row row, std::size_t reserve_hint = 0) {
-    std::size_t idx;
-    if (predicted != kNoBucket && buckets[predicted].bssid == key) {
-      idx = predicted;
-    } else {
-      auto it = std::lower_bound(
-          buckets.begin(), buckets.end(), key,
-          [](const Bucket& b, std::string_view k) { return b.bssid < k; });
-      if (it == buckets.end() || it->bssid != key) {
-        const std::size_t inserted =
-            static_cast<std::size_t>(it - buckets.begin());
-        buckets.insert(it, Bucket{key, {}, kNoBucket});
-        if (reserve_hint > 0) buckets[inserted].rows.reserve(reserve_hint);
-        // Insertion shifted every index at or past the slot.
-        for (Bucket& b : buckets) {
-          if (b.next_pred != kNoBucket && b.next_pred >= inserted) {
-            ++b.next_pred;
-          }
-        }
-        if (previous != kNoBucket && previous >= inserted) ++previous;
-        idx = inserted;
-      } else {
-        idx = static_cast<std::size_t>(it - buckets.begin());
-      }
-    }
-    buckets[idx].rows.push_back(row);
-    if (previous != kNoBucket) buckets[previous].next_pred = idx;
-    predicted = buckets[idx].next_pred;
-    previous = idx;
-  }
-};
-
 }  // namespace
 
-TrainingPoint build_training_point(const wiscan::WiScanFile& file,
-                                   geom::Vec2 position,
-                                   const GeneratorConfig& config,
-                                   std::size_t* dropped_pairs) {
-  TrainingPoint point;
-  point.location = file.location;
-  point.position = position;
-
-  const std::size_t scans = file.scan_count();
-
-  BucketTable<const wiscan::WiScanEntry*> table;
-  for (const wiscan::WiScanEntry& e : file.entries) {
-    table.add(e.bssid, &e, scans);
-  }
-
-  for (const auto& bucket : table.buckets) {
+std::vector<ApStatistics> summarize_aps(const wiscan::BucketTable& table,
+                                        std::size_t scan_count,
+                                        std::uint32_t min_samples_per_ap,
+                                        bool keep_samples,
+                                        std::size_t* dropped_pairs) {
+  std::vector<ApStatistics> per_ap;
+  per_ap.reserve(table.buckets.size());
+  for (const wiscan::BucketTable::Bucket& bucket : table.buckets) {
     const std::size_t group_size = bucket.rows.size();
-    if (group_size < config.min_samples_per_ap) {
+    if (group_size < min_samples_per_ap) {
       if (dropped_pairs) ++*dropped_pairs;
       continue;
     }
     stats::RunningStats rs;
-    for (const wiscan::WiScanEntry* row : bucket.rows) rs.add(row->rssi_dbm);
+    for (const double rssi : bucket.rows) rs.add(rssi);
 
     ApStatistics ap;
     ap.bssid = bucket.bssid;
     ap.mean_dbm = rs.mean();
     ap.stddev_db = rs.stddev();
     ap.sample_count = static_cast<std::uint32_t>(group_size);
-    ap.scan_count = static_cast<std::uint32_t>(scans);
+    ap.scan_count = static_cast<std::uint32_t>(scan_count);
     ap.min_dbm = rs.min();
     ap.max_dbm = rs.max();
-    if (config.keep_samples) {
+    if (keep_samples) {
       ap.samples_centi_dbm.reserve(group_size);
-      for (const wiscan::WiScanEntry* row : bucket.rows) {
-        ap.samples_centi_dbm.push_back(static_cast<std::int32_t>(
-            std::lround(row->rssi_dbm * 100.0)));
+      for (const double rssi : bucket.rows) {
+        ap.samples_centi_dbm.push_back(
+            static_cast<std::int32_t>(std::lround(rssi * 100.0)));
       }
     }
-    point.per_ap.push_back(std::move(ap));
+    per_ap.push_back(std::move(ap));
   }
-  return point;
+  return per_ap;
+}
+
+TrainingPoint build_training_point(const wiscan::WiScanFile& file,
+                                   geom::Vec2 position,
+                                   const GeneratorConfig& config,
+                                   std::size_t* dropped_pairs) {
+  const std::size_t scans = file.scan_count();
+  wiscan::BucketTable table;
+  for (const wiscan::WiScanEntry& e : file.entries) {
+    table.add(e.bssid, e.rssi_dbm, scans);
+  }
+  return {file.location, position,
+          summarize_aps(table, scans, config.min_samples_per_ap,
+                        config.keep_samples, dropped_pairs)};
 }
 
 namespace {
@@ -183,37 +131,26 @@ TrainingDatabase assemble(const GeneratorConfig& config,
 TrainingDatabase generate_database(const wiscan::Collection& collection,
                                    const wiscan::LocationMap& map,
                                    const GeneratorConfig& config,
-                                   GeneratorReport* report) {
-  const std::vector<std::size_t> usable =
-      plan_points(collection, map, report);
-  std::vector<TrainingPoint> built;
-  built.reserve(usable.size());
-  std::size_t dropped = 0;
-  for (const std::size_t i : usable) {
-    const wiscan::WiScanFile& f = collection.files[i];
-    built.push_back(
-        build_training_point(f, *map.find(f.location), config, &dropped));
-  }
-  return assemble(config, std::move(built), dropped, report);
-}
-
-TrainingDatabase generate_database_parallel(
-    const wiscan::Collection& collection, const wiscan::LocationMap& map,
-    concurrency::ThreadPool& pool, const GeneratorConfig& config,
-    GeneratorReport* report) {
+                                   GeneratorReport* report,
+                                   concurrency::ThreadPool* pool) {
   const std::vector<std::size_t> usable =
       plan_points(collection, map, report);
 
-  // One slot per file: workers accumulate into their own indices and
-  // the merge is a fixed left-to-right fold, so the assembled database
-  // (and its serialized bytes) match the serial path exactly.
+  // One slot per file: tasks write their own indices and the drop
+  // counts fold left to right, so the assembled database (and its
+  // serialized bytes) does not depend on the pool.
   std::vector<TrainingPoint> built(usable.size());
   std::vector<std::size_t> dropped_per(usable.size(), 0);
-  concurrency::parallel_for(pool, 0, usable.size(), [&](std::size_t k) {
+  const auto build = [&](std::size_t k) {
     const wiscan::WiScanFile& f = collection.files[usable[k]];
     built[k] = build_training_point(f, *map.find(f.location), config,
                                     &dropped_per[k]);
-  });
+  };
+  if (pool != nullptr) {
+    concurrency::parallel_for(*pool, 0, usable.size(), build);
+  } else {
+    for (std::size_t k = 0; k < usable.size(); ++k) build(k);
+  }
 
   std::size_t dropped = 0;
   for (const std::size_t d : dropped_per) dropped += d;
@@ -225,8 +162,8 @@ namespace {
 // --- streaming from-path pipeline -----------------------------------
 // generate_database_from_path never materializes WiScanEntry vectors:
 // rows stream out of scan_wiscan_buffer straight into per-BSSID
-// sample buckets whose keys are views into the (mmap'd) file buffer.
-// That skips two heap strings per row — the dominant cost of the
+// buckets whose keys are views into the (mmap'd) file buffer. That
+// skips two heap strings per row — the dominant cost of the
 // materialized path once parsing itself is cheap. The aggregate keeps
 // exactly what build_training_point consumes (capture-ordered RSSI
 // samples per AP, scan transition count, final location), so the
@@ -238,7 +175,7 @@ struct FileAggregate {
   // archive members, whose bytes the archive owns).
   std::unique_ptr<wiscan::FileBuffer> buffer;
   std::string location;
-  BucketTable<double> table;
+  wiscan::BucketTable table;
   std::size_t scans = 0;
 };
 
@@ -269,77 +206,6 @@ class SampleAggregator final : public wiscan::WiScanRowSink {
   bool first_ = true;
 };
 
-FileAggregate aggregate_buffer(std::string_view text,
-                               std::string fallback_location) {
-  SampleAggregator aggregator(std::move(fallback_location));
-  wiscan::scan_wiscan_buffer(text, aggregator);
-  return aggregator.take();
-}
-
-// Identical arithmetic to build_training_point, fed from sample
-// buckets instead of entry pointers.
-TrainingPoint point_from_aggregate(const FileAggregate& aggregate,
-                                   geom::Vec2 position,
-                                   const GeneratorConfig& config,
-                                   std::size_t* dropped_pairs) {
-  TrainingPoint point;
-  point.location = aggregate.location;
-  point.position = position;
-  for (const auto& bucket : aggregate.table.buckets) {
-    const std::size_t group_size = bucket.rows.size();
-    if (group_size < config.min_samples_per_ap) {
-      if (dropped_pairs) ++*dropped_pairs;
-      continue;
-    }
-    stats::RunningStats rs;
-    for (const double rssi : bucket.rows) rs.add(rssi);
-
-    ApStatistics ap;
-    ap.bssid = bucket.bssid;
-    ap.mean_dbm = rs.mean();
-    ap.stddev_db = rs.stddev();
-    ap.sample_count = static_cast<std::uint32_t>(group_size);
-    ap.scan_count = static_cast<std::uint32_t>(aggregate.scans);
-    ap.min_dbm = rs.min();
-    ap.max_dbm = rs.max();
-    if (config.keep_samples) {
-      ap.samples_centi_dbm.reserve(group_size);
-      for (const double rssi : bucket.rows) {
-        ap.samples_centi_dbm.push_back(
-            static_cast<std::int32_t>(std::lround(rssi * 100.0)));
-      }
-    }
-    point.per_ap.push_back(std::move(ap));
-  }
-  return point;
-}
-
-bool has_wiscan_extension_name(const std::string& name) {
-  static constexpr std::string_view kExt = ".wiscan";
-  return name.size() > kExt.size() &&
-         name.compare(name.size() - kExt.size(), kExt.size(), kExt) == 0;
-}
-
-// Aggregates `count` sources into index-aligned slots, serially or
-// chunked across `pool` — the same deterministic-slot scheme
-// load_collection uses, so parallel output cannot differ from serial.
-template <typename AggregateItem>
-std::vector<FileAggregate> aggregate_work_list(
-    std::size_t count, concurrency::ThreadPool* pool,
-    const AggregateItem& aggregate_item) {
-  std::vector<FileAggregate> aggregates(count);
-  if (pool != nullptr && count > 1) {
-    concurrency::parallel_for(*pool, 0, count, [&](std::size_t i) {
-      aggregates[i] = aggregate_item(i);
-    });
-  } else {
-    for (std::size_t i = 0; i < count; ++i) {
-      aggregates[i] = aggregate_item(i);
-    }
-  }
-  return aggregates;
-}
-
 }  // namespace
 
 TrainingDatabase generate_database_from_path(
@@ -348,110 +214,26 @@ TrainingDatabase generate_database_from_path(
     const GeneratorConfig& config, GeneratorReport* report,
     concurrency::ThreadPool* pool) {
   metrics::ScopedTimer timer(generate_seconds_histogram());
-  // Must outlive the aggregates: archive-member bucket keys view its
-  // bytes.
-  std::optional<wiscan::Archive> archive;
-  std::vector<FileAggregate> aggregates;
-  // Per-work-list-index failure slots (quarantine mode only): workers
-  // record errors under their own index so scheduling cannot reorder
-  // the diagnostics, and failed slots are dropped before the sort —
-  // exactly the pipeline a clean run over the surviving files sees.
-  std::vector<std::optional<Error>> failed;
-  std::vector<std::string> sources;
-
-  if (std::filesystem::is_directory(collection_source)) {
-    std::vector<std::filesystem::path> work;
-    for (const auto& entry :
-         std::filesystem::recursive_directory_iterator(collection_source)) {
-      if (!entry.is_regular_file()) continue;
-      if (!has_wiscan_extension_name(entry.path().filename().string())) {
-        continue;
-      }
-      work.push_back(entry.path());
-    }
-    // Directory iteration order is filesystem-dependent; sort so the
-    // work list (and therefore the output) is stable.
-    std::sort(work.begin(), work.end());
-
-    failed.resize(work.size());
-    sources.reserve(work.size());
-    for (const auto& p : work) sources.push_back(p.string());
-    aggregates = aggregate_work_list(work.size(), pool, [&](std::size_t i) {
-      try {
-        auto buffer = std::make_unique<wiscan::FileBuffer>(work[i]);
-        FileAggregate aggregate = aggregate_buffer(
-            buffer->view(),
-            wiscan::sanitize_location_name(work[i].stem().string()));
-        aggregate.buffer = std::move(buffer);
+  // Declared first so it outlives the aggregates: archive-member
+  // bucket keys view its bytes.
+  const wiscan::CollectionSources sources(collection_source);
+  std::vector<wiscan::QuarantinedFile> quarantined;
+  std::vector<FileAggregate> aggregates = sources.parse_all<FileAggregate>(
+      pool, config.quarantine_corrupt_files ? &quarantined : nullptr,
+      [](wiscan::SourceText source) {
+        SampleAggregator aggregator(std::move(source.fallback_location));
+        wiscan::scan_wiscan_buffer(source.text, aggregator);
+        FileAggregate aggregate = aggregator.take();
+        aggregate.buffer = std::move(source.buffer);
         return aggregate;
-      } catch (const wiscan::BufferError& e) {
-        if (config.quarantine_corrupt_files) {
-          failed[i] = Error(ErrorCode::kIo, e.what())
-                          .with_context("reading '" + sources[i] + "'");
-          return FileAggregate{};
-        }
-        throw wiscan::FormatError("load_collection: " +
-                                  std::string(e.what()));
-      } catch (const wiscan::FormatError& e) {
-        if (config.quarantine_corrupt_files) {
-          failed[i] = Error(ErrorCode::kParse, e.what())
-                          .with_context("parsing '" + sources[i] + "'");
-          return FileAggregate{};
-        }
-        throw;
-      }
-    });
-  } else if (std::filesystem::is_regular_file(collection_source) &&
-             collection_source.extension() == ".lar") {
-    archive.emplace(wiscan::Archive::read(collection_source));
-    std::vector<const std::pair<const std::string, std::string>*> work;
-    for (const auto& entry : archive->entries()) {
-      if (has_wiscan_extension_name(entry.first)) work.push_back(&entry);
+      });
+  if (report) {
+    for (wiscan::QuarantinedFile& q : quarantined) {
+      report->quarantined.push_back(std::move(q));
     }
-    failed.resize(work.size());
-    sources.reserve(work.size());
-    for (const auto* entry : work) sources.push_back(entry->first);
-    aggregates = aggregate_work_list(work.size(), pool, [&](std::size_t i) {
-      const auto& [name, bytes] = *work[i];
-      try {
-        return aggregate_buffer(
-            bytes, wiscan::sanitize_location_name(
-                       std::filesystem::path(name).stem().string()));
-      } catch (const wiscan::FormatError& e) {
-        if (config.quarantine_corrupt_files) {
-          failed[i] =
-              Error(ErrorCode::kParse, e.what())
-                  .with_context("parsing archive entry '" + name + "'");
-          return FileAggregate{};
-        }
-        throw;
-      }
-    });
-  } else {
-    throw wiscan::FormatError("load_collection: '" +
-                              collection_source.string() +
-                              "' is neither a directory nor a .lar archive");
   }
 
-  // Drop quarantined slots (work-list order) before any downstream
-  // step observes the aggregates.
-  if (config.quarantine_corrupt_files) {
-    std::vector<FileAggregate> kept;
-    kept.reserve(aggregates.size());
-    for (std::size_t i = 0; i < aggregates.size(); ++i) {
-      if (failed[i]) {
-        if (report) {
-          report->quarantined.push_back(
-              {sources[i], std::move(*failed[i])});
-        }
-      } else {
-        kept.push_back(std::move(aggregates[i]));
-      }
-    }
-    aggregates = std::move(kept);
-  }
-
-  // Read after the collection so error precedence matches the old
+  // Read after the collection so error precedence matches the
   // load_collection-then-map sequence.
   const wiscan::LocationMap map =
       wiscan::LocationMap::read(location_map_file);
@@ -468,8 +250,10 @@ TrainingDatabase generate_database_from_path(
   for (const FileAggregate& aggregate : aggregates) {
     const auto position = map.find(aggregate.location);
     if (position) {
-      built.push_back(
-          point_from_aggregate(aggregate, *position, config, &dropped));
+      built.push_back({aggregate.location, *position,
+                       summarize_aps(aggregate.table, aggregate.scans,
+                                     config.min_samples_per_ap,
+                                     config.keep_samples, &dropped)});
     } else if (report) {
       report->unmapped_locations.push_back(aggregate.location);
     }
@@ -483,7 +267,7 @@ TrainingDatabase generate_database_from_path(
     }
   }
   generate_files_counter().add(aggregates.size());
-  generate_quarantined_counter().add(failed.size() - aggregates.size());
+  generate_quarantined_counter().add(sources.size() - aggregates.size());
   generate_points_counter().add(built.size());
   return assemble(config, std::move(built), dropped, report);
 }

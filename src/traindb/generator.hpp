@@ -9,7 +9,7 @@
 /// Locations present in only one of the two inputs are reported in
 /// `GeneratorReport` rather than silently dropped. Generation is
 /// embarrassingly parallel across locations, so the builder can fan
-/// out on a `ThreadPool` (the serial path is kept for the PERF bench).
+/// out on a `ThreadPool`.
 
 #include <filesystem>
 #include <string>
@@ -18,6 +18,7 @@
 #include "base/error.hpp"
 #include "concurrency/thread_pool.hpp"
 #include "traindb/database.hpp"
+#include "wiscan/bucket_table.hpp"
 #include "wiscan/collection.hpp"
 #include "wiscan/location_map.hpp"
 
@@ -56,19 +57,14 @@ struct GeneratorReport {
   std::size_t points_built = 0;
 };
 
-/// Builds the database serially.
+/// Builds the database, one task per location on `pool` when given.
+/// Points are assembled in collection order regardless of completion
+/// order, so the pooled result is identical to the serial one.
 TrainingDatabase generate_database(const wiscan::Collection& collection,
                                    const wiscan::LocationMap& map,
                                    const GeneratorConfig& config = {},
-                                   GeneratorReport* report = nullptr);
-
-/// Builds the database with one task per location on `pool`.
-/// Identical output to the serial path (points are assembled in
-/// collection order regardless of completion order).
-TrainingDatabase generate_database_parallel(
-    const wiscan::Collection& collection, const wiscan::LocationMap& map,
-    concurrency::ThreadPool& pool, const GeneratorConfig& config = {},
-    GeneratorReport* report = nullptr);
+                                   GeneratorReport* report = nullptr,
+                                   concurrency::ThreadPool* pool = nullptr);
 
 /// End-to-end convenience mirroring the paper's CLI contract: a
 /// string naming either a wi-scan directory or a `.lar` archive, plus
@@ -102,5 +98,17 @@ TrainingPoint build_training_point(const wiscan::WiScanFile& file,
                                    geom::Vec2 position,
                                    const GeneratorConfig& config,
                                    std::size_t* dropped_pairs = nullptr);
+
+/// The §5.1 summary of one point's grouped readings: one ApStatistics
+/// per bucket heard at least `min_samples_per_ap` times, in BSSID
+/// order, with `RunningStats` over the readings in capture order and,
+/// with `keep_samples`, the readings in centi-dBm. Each bucket below
+/// the cut counts into `*dropped_pairs`. `scan_count` is stored on
+/// every row. The generator and the survey intake both summarize here.
+std::vector<ApStatistics> summarize_aps(const wiscan::BucketTable& table,
+                                        std::size_t scan_count,
+                                        std::uint32_t min_samples_per_ap,
+                                        bool keep_samples,
+                                        std::size_t* dropped_pairs = nullptr);
 
 }  // namespace loctk::traindb

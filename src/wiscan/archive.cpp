@@ -40,17 +40,6 @@ std::string_view get_bytes(std::string_view in, std::size_t& pos,
   return out;
 }
 
-// Drains an already-open stream (compatibility adapter; the path
-// overload goes through FileBuffer).
-std::string slurp(std::istream& is) {
-  std::string text;
-  char chunk[4096];
-  while (is.read(chunk, sizeof chunk) || is.gcount() > 0) {
-    text.append(chunk, static_cast<std::size_t>(is.gcount()));
-  }
-  return text;
-}
-
 }  // namespace
 
 void Archive::validate_path(const std::string& path) {
@@ -137,8 +126,6 @@ Archive Archive::read_bytes(std::string_view bytes) {
   }
   return ar;
 }
-
-Archive Archive::read(std::istream& is) { return read_bytes(slurp(is)); }
 
 Archive Archive::read(const std::filesystem::path& file) {
   try {

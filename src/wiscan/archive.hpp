@@ -22,7 +22,6 @@
 ///         data bytes
 
 #include <filesystem>
-#include <istream>
 #include <map>
 #include <ostream>
 #include <stdexcept>
@@ -51,13 +50,11 @@ class Archive {
     return entries_;
   }
 
-  /// Serialization. The file overload maps the archive read-only and
-  /// parses entries straight out of the buffer (one copy per entry,
-  /// into the owning map); the istream overload is a compatibility
-  /// adapter that drains the stream first.
+  /// Serialization. `read` maps the file read-only and parses entries
+  /// straight out of the buffer (one copy per entry, into the owning
+  /// map); `read_bytes` parses an in-memory image.
   void write(std::ostream& os) const;
   void write(const std::filesystem::path& file) const;
-  static Archive read(std::istream& is);
   static Archive read(const std::filesystem::path& file);
   static Archive read_bytes(std::string_view bytes);
 

@@ -1,7 +1,7 @@
 #include "wiscan/collection.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <system_error>
 
 #include "base/metrics.hpp"
 #include "concurrency/parallel_for.hpp"
@@ -64,175 +64,123 @@ std::size_t Collection::total_entries() const {
 
 namespace {
 
-// Work-list order is fixed before any parsing starts and ties in the
-// final by-location sort are broken by work-list index, so serial and
-// parallel loads produce identical collections.
-void sort_collection(Collection& c) {
-  std::stable_sort(c.files.begin(), c.files.end(),
-                   [](const WiScanFile& a, const WiScanFile& b) {
-                     return a.location < b.location;
-                   });
-}
-
 bool has_wiscan_extension(const std::string& name) {
   static constexpr std::string_view kExt = ".wiscan";
   return name.size() > kExt.size() &&
          name.compare(name.size() - kExt.size(), kExt.size(), kExt) == 0;
 }
 
-// Parses `count` work items into index-aligned slots, serially or
-// chunked across `pool`.
-template <typename ParseItem>
-std::vector<WiScanFile> parse_work_list(std::size_t count,
-                                        concurrency::ThreadPool* pool,
-                                        const ParseItem& parse_item) {
-  std::vector<WiScanFile> parsed(count);
-  if (pool != nullptr && count > 1) {
-    concurrency::parallel_for(*pool, 0, count,
-                              [&](std::size_t i) { parsed[i] = parse_item(i); });
-  } else {
-    for (std::size_t i = 0; i < count; ++i) parsed[i] = parse_item(i);
-  }
-  return parsed;
-}
-
-// Quarantining variant: each slot either parses or records a
-// structured error under its work-list index (so worker scheduling
-// cannot reorder diagnostics); failed slots are dropped before the
-// by-location sort, leaving exactly the collection a clean run over
-// the surviving files would build.
-template <typename TryParseItem, typename SourceName>
-std::vector<WiScanFile> parse_work_list_quarantined(
-    std::size_t count, concurrency::ThreadPool* pool,
-    const TryParseItem& try_parse_item, const SourceName& source_name,
-    LoadReport& report) {
-  std::vector<std::optional<Error>> errors(count);
-  std::vector<WiScanFile> parsed =
-      parse_work_list(count, pool, [&](std::size_t i) {
-        Result<WiScanFile> r = try_parse_item(i);
-        if (r.ok()) return std::move(r).value();
-        errors[i] = std::move(r).error();
-        return WiScanFile{};
+// Ties in the by-location sort are broken by work-list index, so serial
+// and parallel loads produce identical collections.
+Collection load_sources(const CollectionSources& sources,
+                        concurrency::ThreadPool* pool, LoadReport* report,
+                        const metrics::ScopedTimer& timer) {
+  Collection c;
+  c.files = sources.parse_all<WiScanFile>(
+      pool, report != nullptr ? &report->quarantined : nullptr,
+      [](SourceText source) {
+        return parse_wiscan_buffer(source.text, source.fallback_location);
       });
-  std::vector<WiScanFile> kept;
-  kept.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (errors[i]) {
-      report.quarantined.push_back(
-          {source_name(i), std::move(*errors[i])});
-    } else {
-      kept.push_back(std::move(parsed[i]));
-    }
-  }
-  report.files_loaded += kept.size();
-  return kept;
+  if (report != nullptr) report->files_loaded += c.files.size();
+  std::stable_sort(c.files.begin(), c.files.end(),
+                   [](const WiScanFile& a, const WiScanFile& b) {
+                     return a.location < b.location;
+                   });
+  record_load(sources.size(), c.files.size(), sources.total_bytes(),
+              timer.elapsed_s());
+  return c;
 }
 
 }  // namespace
 
+CollectionSources::CollectionSources(const std::filesystem::path& source) {
+  if (std::filesystem::is_directory(source)) {
+    for (const auto& entry :
+         std::filesystem::recursive_directory_iterator(source)) {
+      if (!entry.is_regular_file()) continue;
+      if (!has_wiscan_extension(entry.path().filename().string())) continue;
+      sources_.push_back({entry.path().string(), entry.path(), nullptr});
+      std::error_code ec;
+      const auto size = std::filesystem::file_size(entry.path(), ec);
+      if (!ec) total_bytes_ += size;
+    }
+    std::sort(sources_.begin(), sources_.end(),
+              [](const Source& a, const Source& b) { return a.file < b.file; });
+    return;
+  }
+  if (std::filesystem::is_regular_file(source) &&
+      source.extension() == ".lar") {
+    owned_archive_ = std::make_unique<const Archive>(Archive::read(source));
+    add_archive_entries(*owned_archive_);
+    return;
+  }
+  throw FormatError("load_collection: '" + source.string() +
+                    "' is neither a directory nor a .lar archive");
+}
+
+CollectionSources::CollectionSources(const Archive& archive) {
+  add_archive_entries(archive);
+}
+
+void CollectionSources::add_archive_entries(const Archive& archive) {
+  for (const auto& [name, bytes] : archive.entries()) {
+    if (!has_wiscan_extension(name)) continue;
+    sources_.push_back({name, {}, &bytes});
+    total_bytes_ += bytes.size();
+  }
+}
+
+std::vector<std::optional<Error>> CollectionSources::visit(
+    concurrency::ThreadPool* pool, bool quarantine,
+    const std::function<void(std::size_t, SourceText)>& parse) const {
+  std::vector<std::optional<Error>> errors(size());
+  const auto one = [&](std::size_t i) {
+    const Source& s = sources_[i];
+    try {
+      SourceText source;
+      if (s.bytes != nullptr) {
+        source.text = *s.bytes;
+      } else {
+        source.buffer = std::make_unique<FileBuffer>(s.file);
+        source.text = source.buffer->view();
+      }
+      source.fallback_location = sanitize_location_name(
+          std::filesystem::path(s.name).stem().string());
+      parse(i, std::move(source));
+    } catch (const BufferError& e) {
+      if (!quarantine) {
+        throw FormatError("load_collection: " + std::string(e.what()));
+      }
+      errors[i] = Error(ErrorCode::kIo, e.what())
+                      .with_context("reading '" + s.name + "'");
+    } catch (const FormatError& e) {
+      if (!quarantine) throw;
+      const char* prefix =
+          s.bytes != nullptr ? "parsing archive entry '" : "parsing '";
+      errors[i] = Error(ErrorCode::kParse, e.what())
+                      .with_context(prefix + s.name + "'");
+    }
+  };
+  if (pool != nullptr && size() > 1) {
+    concurrency::parallel_for(*pool, 0, size(), one);
+  } else {
+    for (std::size_t i = 0; i < size(); ++i) one(i);
+  }
+  return errors;
+}
+
 Collection load_collection(const Archive& archive,
                            concurrency::ThreadPool* pool,
                            LoadReport* report) {
-  metrics::ScopedTimer timer(load_seconds_histogram());
-  std::vector<const std::pair<const std::string, std::string>*> work;
-  std::uint64_t total_bytes = 0;
-  for (const auto& entry : archive.entries()) {
-    if (has_wiscan_extension(entry.first)) {
-      work.push_back(&entry);
-      total_bytes += entry.second.size();
-    }
-  }
-  const auto parse = [&](std::size_t i) {
-    const auto& [name, bytes] = *work[i];
-    return parse_wiscan_buffer(
-        bytes, sanitize_location_name(std::filesystem::path(name)
-                                          .stem()
-                                          .string()));
-  };
-  Collection c;
-  if (report != nullptr) {
-    c.files = parse_work_list_quarantined(
-        work.size(), pool,
-        [&](std::size_t i) -> Result<WiScanFile> {
-          try {
-            return parse(i);
-          } catch (const FormatError& e) {
-            return Error(ErrorCode::kParse, e.what())
-                .with_context("parsing archive entry '" + work[i]->first +
-                              "'");
-          }
-        },
-        [&](std::size_t i) { return work[i]->first; }, *report);
-  } else {
-    c.files = parse_work_list(work.size(), pool, parse);
-  }
-  sort_collection(c);
-  record_load(work.size(), c.files.size(), total_bytes, timer.elapsed_s());
-  return c;
+  const metrics::ScopedTimer timer(load_seconds_histogram());
+  return load_sources(CollectionSources(archive), pool, report, timer);
 }
 
 Collection load_collection(const std::filesystem::path& source,
                            concurrency::ThreadPool* pool,
                            LoadReport* report) {
-  if (std::filesystem::is_directory(source)) {
-    metrics::ScopedTimer timer(load_seconds_histogram());
-    std::vector<std::filesystem::path> work;
-    std::uint64_t bytes = 0;
-    for (const auto& entry :
-         std::filesystem::recursive_directory_iterator(source)) {
-      if (!entry.is_regular_file()) continue;
-      if (!has_wiscan_extension(entry.path().filename().string())) continue;
-      work.push_back(entry.path());
-      std::error_code ec;
-      const auto size = std::filesystem::file_size(entry.path(), ec);
-      if (!ec) bytes += size;
-    }
-    // Directory iteration order is filesystem-dependent; sort so the
-    // work list (and therefore the loaded collection) is stable.
-    std::sort(work.begin(), work.end());
-
-    const auto parse = [&](std::size_t i) {
-      try {
-        const FileBuffer buffer(work[i]);
-        return parse_wiscan_buffer(
-            buffer.view(),
-            sanitize_location_name(work[i].stem().string()));
-      } catch (const BufferError& e) {
-        throw FormatError("load_collection: " + std::string(e.what()));
-      }
-    };
-    Collection c;
-    if (report != nullptr) {
-      c.files = parse_work_list_quarantined(
-          work.size(), pool,
-          [&](std::size_t i) -> Result<WiScanFile> {
-            try {
-              const FileBuffer buffer(work[i]);
-              return parse_wiscan_buffer(
-                  buffer.view(),
-                  sanitize_location_name(work[i].stem().string()));
-            } catch (const BufferError& e) {
-              return Error(ErrorCode::kIo, e.what())
-                  .with_context("reading '" + work[i].string() + "'");
-            } catch (const FormatError& e) {
-              return Error(ErrorCode::kParse, e.what())
-                  .with_context("parsing '" + work[i].string() + "'");
-            }
-          },
-          [&](std::size_t i) { return work[i].string(); }, *report);
-    } else {
-      c.files = parse_work_list(work.size(), pool, parse);
-    }
-    sort_collection(c);
-    record_load(work.size(), c.files.size(), bytes, timer.elapsed_s());
-    return c;
-  }
-  if (std::filesystem::is_regular_file(source) &&
-      source.extension() == ".lar") {
-    return load_collection(Archive::read(source), pool, report);
-  }
-  throw FormatError("load_collection: '" + source.string() +
-                    "' is neither a directory nor a .lar archive");
+  const metrics::ScopedTimer timer(load_seconds_histogram());
+  return load_sources(CollectionSources(source), pool, report, timer);
 }
 
 }  // namespace loctk::wiscan

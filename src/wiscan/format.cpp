@@ -14,18 +14,6 @@ void require(bool ok, const std::string& what) {
   if (!ok) throw FormatError(what);
 }
 
-// Drains an already-open stream into one string (the istream entry
-// points are compatibility adapters; the path overloads go through
-// FileBuffer and never touch a stream).
-std::string slurp(std::istream& is) {
-  std::string text;
-  char chunk[4096];
-  while (is.read(chunk, sizeof chunk) || is.gcount() > 0) {
-    text.append(chunk, static_cast<std::size_t>(is.gcount()));
-  }
-  return text;
-}
-
 }  // namespace
 
 void write_wiscan(std::ostream& os, const WiScanFile& file) {
@@ -45,11 +33,6 @@ void write_wiscan(const std::filesystem::path& path, const WiScanFile& file) {
   require(os.good(), "write_wiscan: cannot open " + path.string());
   write_wiscan(os, file);
   require(os.good(), "write_wiscan: write failed for " + path.string());
-}
-
-WiScanFile read_wiscan(std::istream& is,
-                       const std::string& fallback_location) {
-  return parse_wiscan_buffer(slurp(is), fallback_location);
 }
 
 WiScanFile read_wiscan(const std::filesystem::path& path) {

@@ -22,7 +22,6 @@
 ///    the label is derived from the file name (stem).
 
 #include <filesystem>
-#include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -41,11 +40,10 @@ class FormatError : public std::runtime_error {
 void write_wiscan(std::ostream& os, const WiScanFile& file);
 void write_wiscan(const std::filesystem::path& path, const WiScanFile& file);
 
-/// Parses a wi-scan stream. `fallback_location` is used when the
-/// stream has no `# location:` header. Throws FormatError on rows
-/// that cannot be parsed (missing bssid/rssi, malformed numbers).
-WiScanFile read_wiscan(std::istream& is,
-                       const std::string& fallback_location = "");
+/// Parses a wi-scan file; its sanitized stem is the location when the
+/// file has no `# location:` header. Throws FormatError on rows that
+/// cannot be parsed (missing bssid/rssi, malformed numbers) and on an
+/// unreadable file.
 WiScanFile read_wiscan(const std::filesystem::path& path);
 
 /// In-memory round trip helpers.

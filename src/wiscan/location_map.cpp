@@ -30,17 +30,6 @@ void write_name(std::ostream& os, const std::string& name) {
   os << '"';
 }
 
-// Drains an already-open stream (compatibility adapter; the path
-// overload goes through FileBuffer).
-std::string slurp(std::istream& is) {
-  std::string text;
-  char chunk[4096];
-  while (is.read(chunk, sizeof chunk) || is.gcount() > 0) {
-    text.append(chunk, static_cast<std::size_t>(is.gcount()));
-  }
-  return text;
-}
-
 }  // namespace
 
 void LocationMap::add(const std::string& name, geom::Vec2 position) {
@@ -97,10 +86,6 @@ void LocationMap::write(const std::filesystem::path& path) const {
   require(os.good(), "location-map: cannot open " + path.string());
   write(os);
   require(os.good(), "location-map: write failed for " + path.string());
-}
-
-LocationMap LocationMap::read(std::istream& is) {
-  return parse_location_map_buffer(slurp(is));
 }
 
 LocationMap LocationMap::read(const std::filesystem::path& path) {

@@ -14,7 +14,6 @@
 /// floor plan's world frame.
 
 #include <filesystem>
-#include <istream>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
@@ -60,7 +59,6 @@ class LocationMap {
 
   void write(std::ostream& os) const;
   void write(const std::filesystem::path& path) const;
-  static LocationMap read(std::istream& is);
   static LocationMap read(const std::filesystem::path& path);
 
   friend bool operator==(const LocationMap&, const LocationMap&) = default;

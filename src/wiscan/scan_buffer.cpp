@@ -397,8 +397,8 @@ void scan_wiscan_buffer(std::string_view text, WiScanRowSink& sink) {
 namespace {
 
 // Materializes rows into a WiScanFile — the adapter that keeps
-// parse_wiscan_buffer (and the istream entry points built on it)
-// behaving exactly as before the push-parser refactor.
+// parse_wiscan_buffer behaving exactly as before the push-parser
+// refactor.
 struct FileSink final : WiScanRowSink {
   WiScanFile file;
 

@@ -11,10 +11,10 @@
 /// training-database builds. This layer loads each file into memory
 /// exactly once (mmap where available, a single resize+read
 /// otherwise) and parses by slicing `std::string_view`s with
-/// `std::from_chars` — no streams, no per-token allocations. The
-/// istream entry points in format.hpp / location_map.hpp /
-/// archive.hpp remain as thin adapters over these parsers, so the
-/// text and binary formats are unchanged byte for byte.
+/// `std::from_chars` — no streams, no per-token allocations. The path
+/// readers in format.hpp / location_map.hpp / archive.hpp map the file
+/// and hand its bytes to these parsers; in-memory text goes to them
+/// directly.
 
 #include <cstddef>
 #include <filesystem>
@@ -121,8 +121,8 @@ class WiScanRowSink {
 /// WiScanFile first. Throws FormatError on malformed rows.
 void scan_wiscan_buffer(std::string_view text, WiScanRowSink& sink);
 
-/// Buffer-oriented wi-scan parser: same grammar, rules, and
-/// diagnostics as `read_wiscan`, driven by string_view slicing.
+/// Buffer-oriented wi-scan parser (the grammar of format.hpp), driven
+/// by string_view slicing.
 /// Throws FormatError (declared in format.hpp) with line numbers on
 /// malformed rows.
 WiScanFile parse_wiscan_buffer(std::string_view text,

@@ -122,46 +122,6 @@ TEST(ScoringV2Kernels, NativeBackendBitIdenticalToScalarFallback) {
   }
 }
 
-TEST(ScoringV2Kernels, SelectOpsBitIdenticalAcrossBackends) {
-  // The lane-wise selects must agree with the scalar ternary
-  // everywhere, including NaN (compares false -> y) and signed-zero
-  // operands.
-  stats::Rng rng(9104);
-  const double kNan = std::numeric_limits<double>::quiet_NaN();
-  const double kInf = std::numeric_limits<double>::infinity();
-  const double specials[] = {0.0, -0.0, kNan, kInf, -kInf, 1.0, -1.0};
-  for (int trial = 0; trial < 200; ++trial) {
-    alignas(simd::kAlignment) double a[4], b[4], x[4], y[4];
-    for (int i = 0; i < 4; ++i) {
-      const bool special = rng.bernoulli(0.4);
-      a[i] = special ? specials[static_cast<std::size_t>(
-                           rng.uniform(0.0, 6.999))]
-                     : rng.uniform(-10.0, 10.0);
-      b[i] = special ? specials[static_cast<std::size_t>(
-                           rng.uniform(0.0, 6.999))]
-                     : rng.uniform(-10.0, 10.0);
-      x[i] = rng.uniform(-10.0, 10.0);
-      y[i] = rng.uniform(-10.0, 10.0);
-    }
-    alignas(simd::kAlignment) double out_n[4], out_s[4];
-    const auto check = [&](auto&& native, auto&& scalar) {
-      native.store(out_n);
-      scalar.store(out_s);
-      for (int i = 0; i < 4; ++i) {
-        EXPECT_TRUE(bits_equal(out_n[i], out_s[i]))
-            << "trial " << trial << " lane " << i << " a=" << a[i]
-            << " b=" << b[i];
-      }
-    };
-    using SV = simd::ScalarVec4d;
-    using NV = simd::Vec4d;
-    check(NV::select_gt(NV::load(a), NV::load(b), NV::load(x), NV::load(y)),
-          SV::select_gt(SV::load(a), SV::load(b), SV::load(x), SV::load(y)));
-    check(NV::select_ge(NV::load(a), NV::load(b), NV::load(x), NV::load(y)),
-          SV::select_ge(SV::load(a), SV::load(b), SV::load(x), SV::load(y)));
-  }
-}
-
 TEST(ScoringV2Kernels, AxpyAndHistFoldBitIdentical) {
   stats::Rng rng(9101);
   for (int trial = 0; trial < 100; ++trial) {

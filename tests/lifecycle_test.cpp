@@ -5,8 +5,10 @@
 
 #include "lifecycle/janitor.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,9 +19,13 @@
 #include "core/probabilistic.hpp"
 #include "lifecycle/drift.hpp"
 #include "lifecycle/intake.hpp"
+#include "stats/rng.hpp"
+#include "stats/running_stats.hpp"
 #include "test_fixtures.hpp"
 #include "testkit/differential.hpp"
 #include "traindb/database.hpp"
+#include "traindb/generator.hpp"
+#include "wiscan/bucket_table.hpp"
 
 namespace loctk::lifecycle {
 namespace {
@@ -255,6 +261,70 @@ TEST(SurveyIntake, LaterDwellForSameLocationReplacesStaged) {
   EXPECT_NEAR(delta.upserts[0].per_ap[0].mean_dbm,
               fixture_mean_rssi(0, {15, 25}) - 5.0, 1e-12);
   EXPECT_EQ(intake.pending(), 0u);
+}
+
+TEST(SurveyIntake, StatisticsMatchTheSharedSummaryAndTheMapOracle) {
+  // A noisy dwell: dropouts, unsorted samples, a repeated BSSID and
+  // APs below the min-samples cut.
+  stats::Rng rng(7919);
+  SurveyDwell dwell;
+  dwell.location = "noisy";
+  dwell.position = {12, 34};
+  for (int t = 0; t < 9; ++t) {
+    radio::ScanRecord scan;
+    scan.timestamp_s = t;
+    for (int ap = 0; ap < 40; ++ap) {
+      if (rng.bernoulli(ap < 30 ? 0.1 : 0.8)) continue;
+      scan.samples.push_back({"ap:" + std::to_string((ap * 17) % 41),
+                              std::round(rng.uniform(-95.0, -35.0)), 1});
+    }
+    if (!scan.samples.empty() && rng.bernoulli(0.3)) {
+      scan.samples.push_back(scan.samples.front());
+    }
+    std::shuffle(scan.samples.begin(), scan.samples.end(), rng.engine());
+    dwell.scans.push_back(std::move(scan));
+  }
+  IntakeConfig config;
+  config.min_samples_per_ap = 4;
+  SurveyIntake intake(config);
+  const auto result = intake.submit(dwell);
+  ASSERT_TRUE(result.ok()) << result.error().to_string();
+
+  wiscan::BucketTable table;
+  for (const radio::ScanRecord& scan : dwell.scans) {
+    for (const radio::ScanSample& s : scan.samples) {
+      table.add(s.bssid, s.rssi_dbm);
+    }
+  }
+  std::size_t dropped = 0;
+  EXPECT_EQ(result.value().per_ap,
+            traindb::summarize_aps(table, dwell.scans.size(),
+                                   config.min_samples_per_ap, false,
+                                   &dropped));
+  EXPECT_GT(dropped, 0u);
+
+  // The per-BSSID RunningStats map the intake carried before the
+  // shared summary.
+  std::map<std::string, stats::RunningStats> buckets;
+  for (const radio::ScanRecord& scan : dwell.scans) {
+    for (const radio::ScanSample& s : scan.samples) {
+      buckets[s.bssid].add(s.rssi_dbm);
+    }
+  }
+  std::vector<traindb::ApStatistics> oracle;
+  for (const auto& [bssid, rs] : buckets) {
+    if (rs.count() < config.min_samples_per_ap) continue;
+    traindb::ApStatistics ap;
+    ap.bssid = bssid;
+    ap.mean_dbm = rs.mean();
+    ap.stddev_db = rs.stddev();
+    ap.sample_count = static_cast<std::uint32_t>(rs.count());
+    ap.scan_count = static_cast<std::uint32_t>(dwell.scans.size());
+    ap.min_dbm = rs.min();
+    ap.max_dbm = rs.max();
+    oracle.push_back(std::move(ap));
+  }
+  EXPECT_EQ(result.value().per_ap, oracle);
 }
 
 // -------------------------------------------------------------- janitor

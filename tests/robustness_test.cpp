@@ -93,8 +93,7 @@ TEST(Fuzz, RandomBytesIntoEveryDecoder) {
     } catch (const traindb::DatabaseError&) {
     }
     try {
-      std::istringstream is(junk);
-      (void)wiscan::Archive::read(is);
+      (void)wiscan::Archive::read_bytes(junk);
     } catch (const wiscan::ArchiveError&) {
     }
     try {
@@ -125,19 +124,20 @@ TEST(Fuzz, ArchiveLengthFieldAttacks) {
   };
   // Entry count ~2^60.
   {
-    std::istringstream is("LAR1" + u64(1ull << 60));
-    EXPECT_THROW(wiscan::Archive::read(is), wiscan::ArchiveError);
+    EXPECT_THROW(wiscan::Archive::read_bytes("LAR1" + u64(1ull << 60)),
+                 wiscan::ArchiveError);
   }
   // Name length ~2^50.
   {
-    std::istringstream is("LAR1" + u64(1) + u64(1ull << 50));
-    EXPECT_THROW(wiscan::Archive::read(is), wiscan::ArchiveError);
+    EXPECT_THROW(
+        wiscan::Archive::read_bytes("LAR1" + u64(1) + u64(1ull << 50)),
+        wiscan::ArchiveError);
   }
   // Data length 2^40 with no payload.
   {
-    std::istringstream is("LAR1" + u64(1) + u64(1) + "x" +
-                          u64(1ull << 40));
-    EXPECT_THROW(wiscan::Archive::read(is), wiscan::ArchiveError);
+    EXPECT_THROW(wiscan::Archive::read_bytes("LAR1" + u64(1) + u64(1) +
+                                             "x" + u64(1ull << 40)),
+                 wiscan::ArchiveError);
   }
 }
 

@@ -3,7 +3,10 @@
 
 #include "stats/rng.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 
 #include <gtest/gtest.h>
 
@@ -26,6 +29,38 @@ TEST(Rng, DifferentSeedsDiffer) {
     if (a.uniform() == b.uniform()) ++same;
   }
   EXPECT_LT(same, 3);
+}
+
+TEST(Rng, NormalWithZeroSigmaIsTheMeanAndDrawsLikeUnitSigma) {
+  for (const std::uint64_t seed : {1ull, 42ull, 4242ull, 0x5eedull}) {
+    Rng noiseless(seed), unit(seed);
+    for (int i = 0; i < 50; ++i) {
+      const double mean = -40.0 - i;
+      EXPECT_EQ(noiseless.normal(mean, 0.0), mean);
+      (void)unit.normal(mean, 1.0);
+      // Same engine position: later draws of a noiseless channel do
+      // not shift.
+      EXPECT_TRUE(noiseless.engine() == unit.engine()) << "draw " << i;
+    }
+  }
+}
+
+TEST(Rng, NormalBitEqualToAFreshStdNormalDistribution) {
+  for (const std::uint64_t seed : {3ull, 96ull, 1020ull, 10032ull}) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    Rng params(seed ^ 0xabcdefull);
+    for (int i = 0; i < 200; ++i) {
+      const double mean = params.uniform(-100.0, 0.0);
+      const double sigma = params.uniform(0.01, 8.0);
+      const double want =
+          std::normal_distribution<double>(mean, sigma)(reference);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(rng.normal(mean, sigma)),
+                std::bit_cast<std::uint64_t>(want))
+          << "seed " << seed << " draw " << i;
+    }
+    EXPECT_TRUE(rng.engine() == reference);
+  }
 }
 
 TEST(Rng, UniformRange) {

@@ -126,8 +126,8 @@ TEST(Generate, ParallelMatchesSerialExactly) {
       generate_database(col, map, cfg, &serial_report);
 
   concurrency::ThreadPool pool(4);
-  const TrainingDatabase parallel = generate_database_parallel(
-      col, map, pool, cfg, &parallel_report);
+  const TrainingDatabase parallel =
+      generate_database(col, map, cfg, &parallel_report, &pool);
 
   EXPECT_EQ(serial, parallel);
   EXPECT_EQ(serial_report.points_built, parallel_report.points_built);

@@ -149,8 +149,8 @@ TEST_F(IngestParallelTest, ParallelGeneratorBytesMatchSerial) {
 
     concurrency::ThreadPool pool(4);
     GeneratorReport parallel_report;
-    const TrainingDatabase parallel = generate_database_parallel(
-        collection, map_, pool, config, &parallel_report);
+    const TrainingDatabase parallel =
+        generate_database(collection, map_, config, &parallel_report, &pool);
 
     EXPECT_EQ(encode_database(serial), encode_database(parallel));
     EXPECT_EQ(serial_report.unmapped_locations,

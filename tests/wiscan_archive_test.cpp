@@ -49,8 +49,7 @@ TEST(Archive, StreamRoundTripIncludingBinary) {
 
   std::ostringstream os;
   ar.write(os);
-  std::istringstream is(os.str());
-  const Archive back = Archive::read(is);
+  const Archive back = Archive::read_bytes(os.str());
   EXPECT_EQ(back.size(), 3u);
   EXPECT_EQ(back.bytes("bin.dat"), binary);
   EXPECT_EQ(back.bytes("empty"), "");
@@ -58,12 +57,10 @@ TEST(Archive, StreamRoundTripIncludingBinary) {
 }
 
 TEST(Archive, CorruptInputsThrow) {
-  std::istringstream bad_magic("NOPE");
-  EXPECT_THROW(Archive::read(bad_magic), ArchiveError);
+  EXPECT_THROW(Archive::read_bytes("NOPE"), ArchiveError);
 
   // Valid magic, truncated count.
-  std::istringstream truncated("LAR1\x01");
-  EXPECT_THROW(Archive::read(truncated), ArchiveError);
+  EXPECT_THROW(Archive::read_bytes("LAR1\x01"), ArchiveError);
 
   // Truncate a valid archive mid-payload.
   Archive ar;
@@ -72,8 +69,7 @@ TEST(Archive, CorruptInputsThrow) {
   ar.write(os);
   std::string bytes = os.str();
   bytes.resize(bytes.size() - 4);
-  std::istringstream cut(bytes);
-  EXPECT_THROW(Archive::read(cut), ArchiveError);
+  EXPECT_THROW(Archive::read_bytes(bytes), ArchiveError);
 }
 
 TEST(Archive, FileRoundTrip) {
@@ -129,8 +125,7 @@ TEST_P(ArchiveSweep, RoundTrip) {
   }
   std::ostringstream os;
   ar.write(os);
-  std::istringstream is(os.str());
-  const Archive back = Archive::read(is);
+  const Archive back = Archive::read_bytes(os.str());
   ASSERT_EQ(back.size(), static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     EXPECT_EQ(back.bytes("entry-" + std::to_string(i)),

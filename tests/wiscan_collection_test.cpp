@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include "concurrency/thread_pool.hpp"
 #include "radio/environment.hpp"
 #include "radio/propagation.hpp"
+#include "wiscan/scan_buffer.hpp"
 
 namespace loctk::wiscan {
 namespace {
@@ -73,6 +75,70 @@ TEST_F(CollectionTest, RejectsOtherSources) {
   write_file("data.bin", "junk");
   EXPECT_THROW(load_collection(dir_ / "data.bin"), FormatError);
   EXPECT_THROW(load_collection(dir_ / "missing"), FormatError);
+}
+
+TEST_F(CollectionTest, SourcesWalkAFixedWorkList) {
+  write_file("b.wiscan", "bssid=aa rssi=-50\n");
+  write_file("floor1/a.wiscan", "bssid=bb rssi=-60\n");
+  write_file("floor1/Z Room.wiscan", "bssid=cc rssi=-70\n");
+  write_file("notes.txt", "ignored");
+  const CollectionSources dir_sources(dir_);
+  ASSERT_EQ(dir_sources.size(), 3u);
+  // Sorted paths, whatever order the directory iterates in.
+  EXPECT_EQ(dir_sources.name(0), (dir_ / "b.wiscan").string());
+  EXPECT_EQ(dir_sources.name(1), (dir_ / "floor1" / "Z Room.wiscan").string());
+  EXPECT_EQ(dir_sources.name(2), (dir_ / "floor1" / "a.wiscan").string());
+  EXPECT_EQ(dir_sources.total_bytes(), 3u * 18u);
+
+  Archive ar;
+  ar.add("z.wiscan", "bssid=aa rssi=-50\n");
+  ar.add("m/y.wiscan", "bssid=bb rssi=-55\n");
+  ar.add("readme.md", "not a scan");
+  const CollectionSources ar_sources(ar);
+  ASSERT_EQ(ar_sources.size(), 2u);
+  EXPECT_EQ(ar_sources.name(0), "m/y.wiscan");  // map order
+  EXPECT_EQ(ar_sources.name(1), "z.wiscan");
+
+  // Each parse sees its bytes and sanitized stem; slots keep work-list
+  // order on a pool too.
+  concurrency::ThreadPool pool(3);
+  for (concurrency::ThreadPool* p : {static_cast<concurrency::ThreadPool*>(
+                                         nullptr),
+                                     &pool}) {
+    const auto seen = dir_sources.parse_all<std::string>(
+        p, nullptr, [](SourceText source) {
+          EXPECT_NE(source.buffer, nullptr);
+          return source.fallback_location + "|" + std::string(source.text);
+        });
+    EXPECT_EQ(seen, (std::vector<std::string>{
+                        "b|bssid=aa rssi=-50\n", "z-room|bssid=cc rssi=-70\n",
+                        "a|bssid=bb rssi=-60\n"}));
+  }
+}
+
+TEST_F(CollectionTest, SourcesQuarantineInWorkListOrder) {
+  Archive ar;
+  ar.add("a.wiscan", "bssid=aa rssi=-50\n");
+  ar.add("b.wiscan", "rssi=-50\n");
+  ar.add("c.wiscan", "bssid=cc rssi=oops\n");
+  const CollectionSources sources(ar);
+  const auto parse = [](SourceText source) {
+    return parse_wiscan_buffer(source.text, source.fallback_location);
+  };
+  EXPECT_THROW((void)sources.parse_all<WiScanFile>(nullptr, nullptr, parse),
+               FormatError);
+  std::vector<QuarantinedFile> quarantined;
+  concurrency::ThreadPool pool(3);
+  const auto kept = sources.parse_all<WiScanFile>(&pool, &quarantined, parse);
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].location, "a");
+  ASSERT_EQ(quarantined.size(), 2u);
+  EXPECT_EQ(quarantined[0].source, "b.wiscan");
+  EXPECT_EQ(quarantined[1].source, "c.wiscan");
+  EXPECT_EQ(quarantined[0].error.code(), ErrorCode::kParse);
+  EXPECT_NE(quarantined[1].error.to_string().find(
+                "parsing archive entry 'c.wiscan'"),
+            std::string::npos);
 }
 
 class SurveyTest : public ::testing::Test {

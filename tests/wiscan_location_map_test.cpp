@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "wiscan/scan_buffer.hpp"
+
 namespace loctk::wiscan {
 namespace {
 
@@ -49,8 +51,7 @@ TEST(LocationMap, RoundTripSimpleAndQuotedNames) {
 
   std::ostringstream os;
   map.write(os);
-  std::istringstream is(os.str());
-  const LocationMap back = LocationMap::read(is);
+  const LocationMap back = parse_location_map_buffer(os.str());
   EXPECT_EQ(back, map);
 }
 
@@ -61,23 +62,20 @@ TEST(LocationMap, ParsesHandWrittenFile) {
       "kitchen\t42.0 8.5\n"
       "\"Center of Hallway\"  25 20\n"
       "  indented 1 2\n";
-  std::istringstream is(text);
-  const LocationMap map = LocationMap::read(is);
+  const LocationMap map = parse_location_map_buffer(text);
   EXPECT_EQ(map.size(), 3u);
   EXPECT_EQ(*map.find("Center of Hallway"), geom::Vec2(25.0, 20.0));
   EXPECT_EQ(*map.find("indented"), geom::Vec2(1.0, 2.0));
 }
 
 TEST(LocationMap, NegativeAndFractionalCoordinates) {
-  std::istringstream is("p -3.25 4.75\n");
-  const LocationMap map = LocationMap::read(is);
+  const LocationMap map = parse_location_map_buffer("p -3.25 4.75\n");
   EXPECT_EQ(*map.find("p"), geom::Vec2(-3.25, 4.75));
 }
 
 TEST(LocationMap, MalformedLinesThrow) {
   auto parse = [](const std::string& text) {
-    std::istringstream is(text);
-    return LocationMap::read(is);
+    return parse_location_map_buffer(text);
   };
   EXPECT_THROW(parse("justaname\n"), LocationMapError);
   EXPECT_THROW(parse("name 1.0\n"), LocationMapError);
@@ -88,8 +86,7 @@ TEST(LocationMap, MalformedLinesThrow) {
 TEST(LocationMap, LaterDuplicateInFileWins) {
   // read() uses set(): a later line overrides (useful when a survey
   // revisits a location).
-  std::istringstream is("a 1 1\na 2 2\n");
-  const LocationMap map = LocationMap::read(is);
+  const LocationMap map = parse_location_map_buffer("a 1 1\na 2 2\n");
   EXPECT_EQ(map.size(), 1u);
   EXPECT_EQ(*map.find("a"), geom::Vec2(2.0, 2.0));
 }
