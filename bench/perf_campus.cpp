@@ -5,15 +5,22 @@
 // there: the sparse scorer reads a few percent of a 240 x 1020 map,
 // floor selection folds six per-floor locators per fix, and compiling
 // a 1000-slot universe is the unit of work every snapshot swap pays.
+// The window benches slide a device's scans through the serve window
+// at campus density (about 79 APs per eight-scan window).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numbers>
 #include <thread>
 #include <vector>
 
 #include "bench_metrics.hpp"
+#include "window_bench.hpp"
 #include "core/compiled_db.hpp"
 #include "core/floor_selector.hpp"
+#include "core/location_service.hpp"
 #include "core/observation.hpp"
 #include "core/probabilistic.hpp"
 #include "radio/campus.hpp"
@@ -33,6 +40,20 @@ struct CampusCorpus {
     radio::Scanner scanner(view, radio::ChannelConfig{}, 99);
     observation =
         core::Observation::from_scans(scanner.collect(rooms[3], 8));
+    // A closed loop through building 0's ground floor, inscribed in
+    // the box of its room centres.
+    geom::Vec2 lo = rooms[0], hi = rooms[0];
+    for (const geom::Vec2& r : rooms) {
+      lo = {std::min(lo.x, r.x), std::min(lo.y, r.y)};
+      hi = {std::max(hi.x, r.x), std::max(hi.y, r.y)};
+    }
+    const geom::Vec2 mid = (lo + hi) * 0.5;
+    const geom::Vec2 half = (hi - lo) * 0.5;
+    for (int i = 0; i < 512; ++i) {
+      const double a = 2.0 * std::numbers::pi * i / 512.0;
+      walk.push_back(scanner.scan_at(
+          {mid.x + half.x * std::cos(a), mid.y + half.y * std::sin(a)}));
+    }
   }
 
   static testkit::ScenarioSpec make_spec() {
@@ -45,6 +66,7 @@ struct CampusCorpus {
   testkit::Scenario scenario;
   std::vector<const traindb::TrainingDatabase*> floors;
   core::Observation observation;
+  std::vector<radio::ScanRecord> walk;
 };
 
 const CampusCorpus& campus() {
@@ -107,6 +129,21 @@ void BM_CampusCompileDatabase(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CampusCompileDatabase)->Unit(benchmark::kMillisecond);
+
+// The serve window at campus density, default eight-scan window:
+// Slide is what on_scan runs per scan, FromScans the copy +
+// re-grouping it replaced.
+void BM_Window_FromScans(benchmark::State& state) {
+  bench::run_window_from_scans(state, campus().walk,
+                               core::LocationServiceConfig{}.window_scans);
+}
+BENCHMARK(BM_Window_FromScans)->Unit(benchmark::kMicrosecond);
+
+void BM_Window_Slide(benchmark::State& state) {
+  bench::run_window_slide(state, campus().walk,
+                          core::LocationServiceConfig{}.window_scans);
+}
+BENCHMARK(BM_Window_Slide)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -2,7 +2,8 @@
 // throughput across thread counts (the headline scans/sec scaling
 // number), the same traffic with a hot-swap storm running against it,
 // and the microcosts underneath: the epoch pin, the session lookup,
-// and a full snapshot swap.
+// and a full snapshot swap; and the window stage alone, the sliding
+// `ScanWindow` against re-grouping through `from_scans`.
 //
 // The office corpus matches perf_score_kernel (120x80 ft, 6 APs, 5-ft
 // grid); every site snapshot is a §5.1 probabilistic locator with the
@@ -12,12 +13,15 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <numbers>
 #include <thread>
 #include <vector>
 
 #include "bench_metrics.hpp"
+#include "window_bench.hpp"
 #include "core/compiled_db.hpp"
 #include "core/pipeline.hpp"
 #include "core/probabilistic.hpp"
@@ -52,6 +56,15 @@ struct ServeCorpus {
       const double y = 5.0 + 70.0 * ((i * 11) % 256) / 256.0;
       scans.push_back(traffic.collect({x, y}, 1).front());
     }
+    // One device walking a closed loop round the floor, a scan per
+    // step: the window benches' stream (replayed round-robin, it never
+    // jumps).
+    radio::Scanner walker = testbed.make_scanner(4242);
+    for (int i = 0; i < 256; ++i) {
+      const double a = 2.0 * std::numbers::pi * i / 256.0;
+      walk.push_back(walker.scan_at(
+          {60.0 + 45.0 * std::cos(a), 40.0 + 28.0 * std::sin(a)}));
+    }
   }
 
   /// A fresh locator snapshot over the shared compilation — what a
@@ -67,6 +80,7 @@ struct ServeCorpus {
   traindb::TrainingDatabase db;
   std::shared_ptr<const core::CompiledDatabase> compiled;
   std::vector<radio::ScanRecord> scans;
+  std::vector<radio::ScanRecord> walk;
 };
 
 const ServeCorpus& corpus() {
@@ -233,6 +247,21 @@ void BM_SessionLookup(benchmark::State& state) {
 BENCHMARK(BM_SessionLookup)
     ->Threads(1)->Threads(4)
     ->UseRealTime()->Unit(benchmark::kNanosecond);
+
+// The window stage of on_scan alone, on one device's walk with the
+// default eight-scan window: Slide is what the service runs per scan,
+// FromScans the copy + re-grouping it replaced.
+void BM_Window_FromScans(benchmark::State& state) {
+  bench::run_window_from_scans(state, corpus().walk,
+                               core::LocationServiceConfig{}.window_scans);
+}
+BENCHMARK(BM_Window_FromScans)->Unit(benchmark::kMicrosecond);
+
+void BM_Window_Slide(benchmark::State& state) {
+  bench::run_window_slide(state, corpus().walk,
+                          core::LocationServiceConfig{}.window_scans);
+}
+BENCHMARK(BM_Window_Slide)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,7 +1,6 @@
 #include "core/location_service.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "base/metrics.hpp"
@@ -32,8 +31,11 @@ metrics::Gauge& innovation_gauge() {
 }  // namespace
 
 LocationService::LocationService(LocationServiceConfig config)
-    : locator_(nullptr), config_(config), kalman_(config.kalman) {
-  config_.window_scans = std::max<std::size_t>(1, config_.window_scans);
+    : locator_(nullptr),
+      config_(config),
+      window_(config.window_scans),
+      kalman_(config.kalman) {
+  config_.window_scans = window_.capacity();
   config_.min_scans =
       std::clamp<std::size_t>(config_.min_scans, 1, config_.window_scans);
   config_.place_debounce = std::max(1, config_.place_debounce);
@@ -98,22 +100,14 @@ ServiceFix LocationService::on_scan(const Locator& locator,
                                     const radio::ScanRecord& scan) {
   // A NIC driver glitch or hostile replay can hand us inf/nan dBm;
   // once inside the window it would poison every mean the locator
-  // sees until the window drains. Drop such samples at the door.
+  // sees until the window drains. The window drops such samples at
+  // the door.
   scans_counter().increment();
   ++scans_seen_;
-  radio::ScanRecord clean = scan;
-  std::erase_if(clean.samples, [this](const radio::ScanSample& s) {
-    const bool bad = !std::isfinite(s.rssi_dbm);
-    if (bad) {
-      ++rejected_samples_;
-      rejected_samples_counter().increment();
-    }
-    return bad;
-  });
-
-  window_.push_back(std::move(clean));
-  if (window_.size() > config_.window_scans) {
-    window_.erase(window_.begin());
+  const std::size_t rejected = window_.push(scan);
+  if (rejected > 0) {
+    rejected_samples_ += rejected;
+    rejected_samples_counter().add(rejected);
   }
   fix_.window_fill = window_.size();
   fix_.degraded_reason.clear();
@@ -123,8 +117,8 @@ ServiceFix LocationService::on_scan(const Locator& locator,
     return fix_;
   }
 
-  const Observation obs = Observation::from_scans(window_);
-  const Result<LocationEstimate> result = locator.try_locate(obs);
+  const Result<LocationEstimate> result =
+      locator.try_locate(window_.observation());
   const LocationEstimate est =
       result.ok() ? result.value() : LocationEstimate{};
 

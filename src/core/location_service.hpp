@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/locator.hpp"
+#include "core/scan_window.hpp"
 #include "core/tracking.hpp"
 #include "radio/scanner.hpp"
 
@@ -151,7 +152,7 @@ class LocationService {
   std::shared_ptr<const Locator> owned_locator_;
   const Locator* locator_;  // non-owning; nullptr when unbound
   LocationServiceConfig config_;
-  std::vector<radio::ScanRecord> window_;
+  ScanWindow window_;
   KalmanTracker kalman_;
   ServiceFix fix_;
   std::string candidate_place_;

@@ -67,6 +67,8 @@ class Observation {
   friend bool operator==(const Observation&, const Observation&) = default;
 
  private:
+  friend class ScanWindow;  // slides a serve window in place
+
   std::vector<ObservedAp> aps_;
 };
 
