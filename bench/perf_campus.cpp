@@ -6,7 +6,10 @@
 // floor selection folds six per-floor locators per fix, and compiling
 // a 1000-slot universe is the unit of work every snapshot swap pays.
 // The window benches slide a device's scans through the serve window
-// at campus density (about 79 APs per eight-scan window).
+// at campus density (about 79 APs per eight-scan window). The
+// republish benches take one 8-row resurvey delta (the batch the
+// serving benchmark's janitor republishes) through each stage of the
+// lifecycle re-publish, against the from-scratch rebuild it avoids.
 
 #include <benchmark/benchmark.h>
 
@@ -23,6 +26,7 @@
 #include "core/location_service.hpp"
 #include "core/observation.hpp"
 #include "core/probabilistic.hpp"
+#include "lifecycle/drift.hpp"
 #include "radio/campus.hpp"
 #include "radio/scanner.hpp"
 #include "testkit/scenario.hpp"
@@ -75,8 +79,8 @@ const CampusCorpus& campus() {
 }
 
 // The §5.1 locate over all 240 rows x 1020 slots. `bytes` is the
-// sparse scorer's CSR postings against `dense_bytes`, the two
-// points x stride Gaussian tables the dense sweep it replaced kept.
+// sparse scorer's CSR postings, `map_bytes` the compiled map's
+// (CompiledDatabase::memory_bytes).
 void BM_CampusLocate(benchmark::State& state) {
   const CampusCorpus& c = campus();
   const core::ProbabilisticLocator locator(c.scenario.database());
@@ -90,9 +94,8 @@ void BM_CampusLocate(benchmark::State& state) {
   state.counters["postings"] =
       static_cast<double>(locator.posting_count());
   state.counters["bytes"] = static_cast<double>(locator.scorer_bytes());
-  state.counters["dense_bytes"] = static_cast<double>(
-      2 * c.scenario.database().size() * locator.compiled().row_stride() *
-      sizeof(double));
+  state.counters["map_bytes"] =
+      static_cast<double>(locator.compiled().memory_bytes());
 }
 BENCHMARK(BM_CampusLocate)->Unit(benchmark::kMicrosecond);
 
@@ -129,6 +132,95 @@ void BM_CampusCompileDatabase(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CampusCompileDatabase)->Unit(benchmark::kMillisecond);
+
+// A resurvey of 8 rooms spread over the campus: each row's means move
+// +1 dB, and the first room also hears one new BSSID, so the universe
+// grows by a slot and every later slot renumbers.
+core::DatabaseDelta resurvey_delta(const traindb::TrainingDatabase& db) {
+  constexpr std::size_t kRows = 8;
+  core::DatabaseDelta delta;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    traindb::TrainingPoint tp = db.points()[i * db.size() / kRows];
+    for (traindb::ApStatistics& s : tp.per_ap) s.mean_dbm += 1.0;
+    if (i == 0) {
+      traindb::ApStatistics fresh = tp.per_ap.front();
+      fresh.bssid = "00:00:00:00:00:00";
+      tp.per_ap.push_back(fresh);
+    }
+    delta.upserts.push_back(std::move(tp));
+  }
+  return delta;
+}
+
+// The janitor's compile step: the merged map from the published one.
+void BM_CampusDeltaCompile(benchmark::State& state) {
+  const CampusCorpus& c = campus();
+  const auto base = core::CompiledDatabase::compile(c.scenario.database());
+  const core::DatabaseDelta delta = resurvey_delta(c.scenario.database());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(base->delta_compile(delta));
+  }
+  state.counters["rows"] = static_cast<double>(delta.upserts.size());
+  state.counters["map_bytes"] = static_cast<double>(base->memory_bytes());
+}
+BENCHMARK(BM_CampusDeltaCompile)->Unit(benchmark::kMillisecond);
+
+// The oracle the delta path must beat: merge the same upserts into a
+// copy of the points, from_points, compile_owned.
+void BM_CampusRebuild(benchmark::State& state) {
+  const CampusCorpus& c = campus();
+  const traindb::TrainingDatabase& db = c.scenario.database();
+  const core::DatabaseDelta delta = resurvey_delta(db);
+  for (auto _ : state) {
+    std::vector<traindb::TrainingPoint> merged = db.points();
+    for (const traindb::TrainingPoint& up : delta.upserts) {
+      for (traindb::TrainingPoint& p : merged) {
+        if (p.location == up.location) p = up;
+      }
+    }
+    benchmark::DoNotOptimize(core::CompiledDatabase::compile_owned(
+        traindb::TrainingDatabase::from_points(std::move(merged),
+                                               db.site_name())));
+  }
+  state.counters["rows"] = static_cast<double>(delta.upserts.size());
+}
+BENCHMARK(BM_CampusRebuild)->Unit(benchmark::kMillisecond);
+
+// The drift monitor moving its per-pair state onto the republished
+// map and back (one rebase per iteration, alternating direction).
+void BM_CampusDriftRebase(benchmark::State& state) {
+  const CampusCorpus& c = campus();
+  const auto base = core::CompiledDatabase::compile(c.scenario.database());
+  const auto next = base->delta_compile(resurvey_delta(c.scenario.database()));
+  lifecycle::DriftMonitor monitor(base);
+  for (std::size_t p = 0; p < base->point_count(); ++p) {
+    monitor.observe(p, c.observation);
+  }
+  bool forward = true;
+  for (auto _ : state) {
+    monitor.rebase(forward ? next : base);
+    forward = !forward;
+  }
+  state.counters["pairs"] = static_cast<double>(base->pairs().size());
+}
+BENCHMARK(BM_CampusDriftRebase)->Unit(benchmark::kMillisecond);
+
+// The whole compute side of a janitor republish: delta-compile, the
+// serving locator's build, the drift rebase.
+void BM_CampusRepublish(benchmark::State& state) {
+  const CampusCorpus& c = campus();
+  const auto base = core::CompiledDatabase::compile(c.scenario.database());
+  const core::DatabaseDelta delta = resurvey_delta(c.scenario.database());
+  lifecycle::DriftMonitor monitor(base);
+  for (auto _ : state) {
+    const auto next = base->delta_compile(delta);
+    benchmark::DoNotOptimize(
+        std::make_shared<const core::ProbabilisticLocator>(next));
+    monitor.rebase(next);
+  }
+  state.counters["rows"] = static_cast<double>(delta.upserts.size());
+}
+BENCHMARK(BM_CampusRepublish)->Unit(benchmark::kMillisecond);
 
 // The serve window at campus density, default eight-scan window:
 // Slide is what on_scan runs per scan, FromScans the copy +

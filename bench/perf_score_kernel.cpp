@@ -146,9 +146,9 @@ void BM_ScoreAll(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreAll)->Unit(benchmark::kMicrosecond);
 
-// The sparse scorer's locate. `bytes` is its CSR postings against
-// `dense_bytes`, the two points x stride Gaussian tables the dense
-// sweep it replaced kept; `simd` records which backend the binary
+// The sparse scorer's locate. `bytes` is its CSR postings,
+// `map_bytes` the compiled map's (CompiledDatabase::memory_bytes);
+// `simd` records which backend the binary
 // dispatched to ("avx2"/"neon" = 1, scalar fallback = 0) so the JSON
 // trajectory stays interpretable across build configurations.
 void BM_Locate(benchmark::State& state) {
@@ -159,8 +159,8 @@ void BM_Locate(benchmark::State& state) {
   }
   state.counters["points"] = static_cast<double>(c.db.size());
   state.counters["bytes"] = static_cast<double>(locator.scorer_bytes());
-  state.counters["dense_bytes"] = static_cast<double>(
-      2 * c.db.size() * locator.compiled().row_stride() * sizeof(double));
+  state.counters["map_bytes"] =
+      static_cast<double>(locator.compiled().memory_bytes());
   state.counters["simd"] = std::string_view(simd::backend()) != "scalar";
 }
 BENCHMARK(BM_Locate)->Unit(benchmark::kMicrosecond);

@@ -43,7 +43,7 @@ namespace loctk::simd {
 /// Logical lanes per vector, identical for every backend.
 inline constexpr std::size_t kLanes = 4;
 
-/// Allocation alignment and row-stride granularity for SoA matrices:
+/// Allocation alignment and row-stride granularity for dense rows:
 /// one cache line, i.e. two logical vectors of doubles.
 inline constexpr std::size_t kAlignment = 64;
 inline constexpr std::size_t kStrideDoubles = kAlignment / sizeof(double);
@@ -186,7 +186,7 @@ inline constexpr const char* kBackendName = "scalar";
 inline const char* backend() { return kBackendName; }
 
 // ---------------------------------------------------------------------------
-// 64-byte aligned storage for the SoA matrices and compiled queries.
+// 64-byte aligned storage for dense rows and compiled queries.
 // ---------------------------------------------------------------------------
 
 template <class T>

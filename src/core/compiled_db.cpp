@@ -2,163 +2,185 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "traindb/codec.hpp"
 
 namespace loctk::core {
 
+namespace {
+
+/// Appends `tp`'s pairs against `universe`. per_ap is sorted, so each
+/// BSSID is searched from just past the previous match; a repeated
+/// BSSID finds nothing there and is skipped, keeping its first entry.
+void append_row(const traindb::TrainingPoint& tp,
+                const std::vector<std::string>& universe,
+                std::vector<TrainedPair>* out) {
+  auto from = universe.begin();
+  for (const traindb::ApStatistics& s : tp.per_ap) {
+    const auto it = std::lower_bound(from, universe.end(), s.bssid);
+    if (it == universe.end() || *it != s.bssid) continue;
+    out->push_back({.slot = static_cast<std::uint32_t>(it - universe.begin()),
+                    .mean_dbm = s.mean_dbm,
+                    .stddev_db = s.stddev_db,
+                    .weight = static_cast<double>(s.sample_count)});
+    from = it + 1;
+  }
+}
+
+}  // namespace
+
+std::vector<std::uint32_t> remap_slots(const std::vector<std::string>& from,
+                                       const std::vector<std::string>& to) {
+  std::vector<std::uint32_t> slot(from.size(), kNoSlot);
+  for (std::size_t i = 0, j = 0; i < from.size(); ++i) {
+    while (j < to.size() && to[j] < from[i]) ++j;
+    if (j < to.size() && to[j] == from[i]) {
+      slot[i] = static_cast<std::uint32_t>(j++);
+    }
+  }
+  return slot;
+}
+
 CompiledDatabase::CompiledDatabase(const traindb::TrainingDatabase& db)
     : db_(&db) {
-  build_matrices();
+  build_rows();
 }
 
 CompiledDatabase::CompiledDatabase(traindb::TrainingDatabase&& db)
     : owned_(std::make_shared<const traindb::TrainingDatabase>(
           std::move(db))),
       db_(owned_.get()) {
-  build_matrices();
-}
-
-void CompiledDatabase::build_matrices() {
-  points_ = db_->size();
-  universe_ = db_->bssid_universe().size();
-  stride_ = simd::padded_stride(universe_);
-  const std::size_t cells = points_ * stride_;
-  mean_.assign(cells, 0.0);
-  stddev_.assign(cells, 0.0);
-  mask_.assign(cells, 0.0);
-  weight_.assign(cells, 0.0);
-  trained_count_.assign(points_, 0);
-
-  for (std::size_t p = 0; p < points_; ++p) {
-    trained_count_[p] = compile_row(db_->points()[p], p * stride_);
-  }
-}
-
-int CompiledDatabase::compile_row(const traindb::TrainingPoint& tp,
-                                  std::size_t base) {
-  // per_ap and the universe are both sorted by BSSID: one merge
-  // interns the whole row.
-  const auto& universe = db_->bssid_universe();
-  std::size_t j = 0;
-  int count = 0;
-  for (const traindb::ApStatistics& s : tp.per_ap) {
-    while (j < universe_ && universe[j] < s.bssid) ++j;
-    if (j == universe_ || universe[j] != s.bssid) continue;
-    mean_[base + j] = s.mean_dbm;
-    stddev_[base + j] = s.stddev_db;
-    mask_[base + j] = 1.0;
-    weight_[base + j] = static_cast<double>(s.sample_count);
-    ++count;
-    ++j;
-  }
-  return count;
+  build_rows();
 }
 
 CompiledDatabase::CompiledDatabase(traindb::TrainingDatabase&& merged,
-                                   const CompiledDatabase& base,
-                                   const std::vector<bool>& row_changed)
+                                   std::vector<std::uint32_t> row_offsets,
+                                   std::vector<TrainedPair> pairs)
     : owned_(std::make_shared<const traindb::TrainingDatabase>(
           std::move(merged))),
-      db_(owned_.get()) {
-  delta_build(base, row_changed);
+      db_(owned_.get()),
+      row_offsets_(std::move(row_offsets)),
+      pairs_(std::move(pairs)) {
+  set_shape();
 }
 
-void CompiledDatabase::delta_build(const CompiledDatabase& base,
-                                   const std::vector<bool>& row_changed) {
+void CompiledDatabase::set_shape() {
   points_ = db_->size();
   universe_ = db_->bssid_universe().size();
   stride_ = simd::padded_stride(universe_);
-  const std::size_t cells = points_ * stride_;
-  mean_.assign(cells, 0.0);
-  stddev_.assign(cells, 0.0);
-  mask_.assign(cells, 0.0);
-  weight_.assign(cells, 0.0);
-  trained_count_.assign(points_, 0);
+}
 
-  // Monotonic old-slot → new-slot remap from one two-pointer pass over
-  // the sorted universes. An old BSSID missing from the new universe
-  // (its last occurrence was replaced away) maps to kGone; unchanged
-  // rows never trained such a slot — if they had, the BSSID would
-  // still be in the merged universe — so dropping it copies nothing.
-  constexpr std::size_t kGone = static_cast<std::size_t>(-1);
-  const auto& old_universe = base.db_->bssid_universe();
-  const auto& new_universe = db_->bssid_universe();
-  std::vector<std::size_t> new_slot(old_universe.size(), kGone);
-  for (std::size_t i = 0, j = 0; i < old_universe.size(); ++i) {
-    while (j < new_universe.size() && new_universe[j] < old_universe[i]) {
-      ++j;
-    }
-    if (j < new_universe.size() && new_universe[j] == old_universe[i]) {
-      new_slot[i] = j++;
-    }
+void CompiledDatabase::build_rows() {
+  set_shape();
+  std::size_t trained = 0;
+  for (const traindb::TrainingPoint& tp : db_->points()) {
+    trained += tp.per_ap.size();
   }
-
-  const std::size_t shared_rows = std::min(points_, base.points_);
-  for (std::size_t p = 0; p < points_; ++p) {
-    const std::size_t dst = p * stride_;
-    if (p >= shared_rows || row_changed[p]) {
-      trained_count_[p] = compile_row(db_->points()[p], dst);
-      continue;
-    }
-    // Unchanged row: move its cells under the remap in contiguous
-    // runs — a run ends where a slot disappears or the shift between
-    // old and new indices changes (an inserted slot between them).
-    const std::size_t src = p * base.stride_;
-    std::size_t u = 0;
-    while (u < old_universe.size()) {
-      if (new_slot[u] == kGone) {
-        ++u;
-        continue;
-      }
-      const std::size_t run = u;
-      const std::size_t shift = new_slot[u] - u;
-      while (u < old_universe.size() && new_slot[u] != kGone &&
-             new_slot[u] - u == shift) {
-        ++u;
-      }
-      const std::size_t len = u - run;
-      const std::size_t from = src + run;
-      const std::size_t to = dst + run + shift;
-      std::copy_n(base.mean_.data() + from, len, mean_.data() + to);
-      std::copy_n(base.stddev_.data() + from, len, stddev_.data() + to);
-      std::copy_n(base.mask_.data() + from, len, mask_.data() + to);
-      std::copy_n(base.weight_.data() + from, len, weight_.data() + to);
-    }
-    trained_count_[p] = base.trained_count_[p];
+  pairs_.reserve(trained);
+  row_offsets_.reserve(points_ + 1);
+  row_offsets_.push_back(0);
+  for (const traindb::TrainingPoint& tp : db_->points()) {
+    append_row(tp, db_->bssid_universe(), &pairs_);
+    row_offsets_.push_back(static_cast<std::uint32_t>(pairs_.size()));
   }
 }
 
 std::shared_ptr<const CompiledDatabase> CompiledDatabase::delta_compile(
     const DatabaseDelta& delta) const {
+  const std::vector<traindb::TrainingPoint>& old_points = db_->points();
+  const std::vector<std::string>& old_universe = db_->bssid_universe();
+
   // Merge semantics (the oracle): replacements land in place, new
   // locations append in upsert order, later upserts for one location
-  // win. from_points re-sorts each per-AP list and rebuilds the sorted
-  // unique universe, so the merged database is bit-identical to one
-  // assembled from scratch out of the same points.
-  std::vector<traindb::TrainingPoint> merged_points = db_->points();
-  std::vector<bool> row_changed(merged_points.size(), false);
-  std::unordered_map<std::string, std::size_t> index_of;
-  index_of.reserve(merged_points.size() + delta.upserts.size());
-  for (std::size_t p = 0; p < merged_points.size(); ++p) {
-    index_of.emplace(merged_points[p].location, p);
+  // win. upsert_of[row] is the winning upsert, or null when unchanged.
+  std::vector<const traindb::TrainingPoint*> upsert_of(points_, nullptr);
+  std::unordered_map<std::string_view, std::size_t> row_of;
+  row_of.reserve(points_ + delta.upserts.size());
+  for (std::size_t p = 0; p < points_; ++p) {
+    row_of.emplace(old_points[p].location, p);
   }
   for (const traindb::TrainingPoint& up : delta.upserts) {
-    const auto [it, inserted] =
-        index_of.emplace(up.location, merged_points.size());
-    if (inserted) {
-      merged_points.push_back(up);
-      row_changed.push_back(true);
+    const auto [it, inserted] = row_of.emplace(up.location, upsert_of.size());
+    if (inserted) upsert_of.push_back(&up);
+    upsert_of[it->second] = &up;
+  }
+
+  // The merged points: unchanged rows copied as they are, upserted
+  // rows sorted exactly as from_points would sort them.
+  std::vector<traindb::TrainingPoint> points;
+  points.reserve(upsert_of.size());
+  for (std::size_t p = 0; p < upsert_of.size(); ++p) {
+    if (upsert_of[p] == nullptr) {
+      points.push_back(old_points[p]);
     } else {
-      merged_points[it->second] = up;
-      row_changed[it->second] = true;
+      points.push_back(*upsert_of[p]);
+      points.back().sort_per_ap();
     }
   }
-  traindb::TrainingDatabase merged = traindb::TrainingDatabase::from_points(
-      std::move(merged_points), db_->site_name());
-  return std::shared_ptr<const CompiledDatabase>(
-      new CompiledDatabase(std::move(merged), *this, row_changed));
+
+  // The merged universe: an old slot survives while an unchanged row
+  // or an upsert trains it; upserts' unknown BSSIDs join it.
+  std::vector<std::uint32_t> rows_on(universe_, 0);
+  std::vector<std::string> added;
+  for (std::size_t p = 0; p < upsert_of.size(); ++p) {
+    if (upsert_of[p] == nullptr) {
+      for (const TrainedPair& e : row(p)) ++rows_on[e.slot];
+      continue;
+    }
+    for (const traindb::ApStatistics& s : points[p].per_ap) {
+      const auto it =
+          std::lower_bound(old_universe.begin(), old_universe.end(), s.bssid);
+      if (it != old_universe.end() && *it == s.bssid) {
+        ++rows_on[static_cast<std::size_t>(it - old_universe.begin())];
+      } else {
+        added.push_back(s.bssid);
+      }
+    }
+  }
+  std::sort(added.begin(), added.end());
+  added.erase(std::unique(added.begin(), added.end()), added.end());
+
+  std::vector<std::string> universe;
+  universe.reserve(universe_ + added.size());
+  std::vector<std::uint32_t> new_slot(universe_, kNoSlot);
+  for (std::size_t u = 0, a = 0; u < universe_ || a < added.size();) {
+    if (u == universe_ || (a < added.size() && added[a] < old_universe[u])) {
+      universe.push_back(std::move(added[a++]));
+      continue;
+    }
+    if (rows_on[u] != 0) {
+      new_slot[u] = static_cast<std::uint32_t>(universe.size());
+      universe.push_back(old_universe[u]);
+    }
+    ++u;
+  }
+
+  // Unchanged rows copy their run under the monotonic remap (it keeps
+  // slots ascending and never meets a dropped slot: a row that trains
+  // a slot keeps it alive); upserted rows are interned afresh.
+  std::vector<std::uint32_t> offsets;
+  offsets.reserve(upsert_of.size() + 1);
+  offsets.push_back(0);
+  std::vector<TrainedPair> pairs;
+  pairs.reserve(pairs_.size());
+  for (std::size_t p = 0; p < upsert_of.size(); ++p) {
+    if (upsert_of[p] == nullptr) {
+      for (TrainedPair e : row(p)) {
+        e.slot = new_slot[e.slot];
+        pairs.push_back(e);
+      }
+    } else {
+      append_row(points[p], universe, &pairs);
+    }
+    offsets.push_back(static_cast<std::uint32_t>(pairs.size()));
+  }
+
+  return std::shared_ptr<const CompiledDatabase>(new CompiledDatabase(
+      traindb::TrainingDatabase::from_sorted_parts(
+          std::move(points), std::move(universe), db_->site_name()),
+      std::move(offsets), std::move(pairs)));
 }
 
 std::optional<std::uint32_t> CompiledDatabase::slot_of(

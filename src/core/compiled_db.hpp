@@ -1,26 +1,32 @@
 #pragma once
 
 /// \file compiled_db.hpp
-/// Dense, cache-friendly compilation of a TrainingDatabase.
+/// Row-sparse, integer-keyed compilation of a TrainingDatabase.
 ///
 /// Every fingerprint locator's inner loop walks <training point, AP>
 /// pairs. The string-keyed form (`TrainingPoint::find`,
 /// `Observation::mean_of`) pays a BSSID comparison per pair, which is
 /// fine for the paper's 12-point house but dominates once the radio
 /// map grows to campus scale. `CompiledDatabase` interns the BSSID
-/// universe to integer slots once and lays the per-pair statistics out
-/// as row-major `points x universe` structure-of-arrays matrices, so
-/// scoring kernels become flat, branch-light loops over doubles.
+/// universe to integer slots once and stores the trained pairs as one
+/// CSR: per training point, a run of (slot, mean, σ, weight) entries
+/// in ascending slot order. A campus map is a few percent dense, so
+/// the CSR holds a few percent of a points x universe matrix, and
+/// every consumer (the scorer's postings, k-NN's and SSD's own dense
+/// signatures, the drift monitor's per-pair state) is built from the
+/// runs in O(trained pairs).
 ///
 /// The compiled form is a *view plus derived data*: it keeps a
 /// non-owning pointer to the source database (which must outlive it)
-/// and all dense matrices. Locators share one compilation through
+/// and the CSR. Locators share one compilation through
 /// `std::shared_ptr<const CompiledDatabase>`.
 
 #include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "base/simd.hpp"
@@ -74,7 +80,26 @@ struct DatabaseDelta {
   bool empty() const { return upserts.empty(); }
 };
 
-/// Dense structure-of-arrays form of a TrainingDatabase.
+/// One trained <point, AP> pair of the compiled map.
+struct TrainedPair {
+  /// Universe slot of the AP (its interned BSSID).
+  std::uint32_t slot = 0;
+  double mean_dbm = 0.0;
+  double stddev_db = 0.0;
+  /// Sample count as a double — the pooled-variance weight.
+  double weight = 0.0;
+};
+
+/// Slot of a BSSID that is not in the target universe (`remap_slots`).
+inline constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
+
+/// Monotonic slot map between two sorted BSSID universes: entry `s` is
+/// the slot in `to` of `from[s]`, or kNoSlot when `to` lacks it. One
+/// two-pointer pass.
+std::vector<std::uint32_t> remap_slots(const std::vector<std::string>& from,
+                                       const std::vector<std::string>& to);
+
+/// Row-sparse (CSR) form of a TrainingDatabase.
 class CompiledDatabase {
  public:
   /// `db` must outlive the compiled form.
@@ -103,26 +128,23 @@ class CompiledDatabase {
   /// returned database is owning and **oracle-equal** to a from-scratch
   /// `compile_owned(TrainingDatabase::from_points(merged points))`:
   /// same point order (replacements in place, appends at the end), same
-  /// sorted universe — new BSSIDs intern new slots and every row
-  /// re-pads to the new `row_stride()`; a BSSID whose last occurrence
-  /// was replaced away leaves the universe, exactly as a full rebuild
-  /// would drop it. Unchanged rows are moved by contiguous-run copies
-  /// under the monotonic old-slot → new-slot remap; only
-  /// replaced/appended rows pay the per-AP merge. Throws
-  /// traindb::DatabaseError on malformed upserts (duplicate location
-  /// names are impossible by construction; the underlying from_points
-  /// validation still runs).
+  /// sorted universe — new BSSIDs intern new slots; a BSSID whose last
+  /// occurrence was replaced away leaves the universe, exactly as a
+  /// full rebuild would drop it. Only the upserted rows are sorted and
+  /// interned; the universe is the old one merged with their BSSIDs
+  /// and unchanged rows' runs are copied under the monotonic old-slot
+  /// → new-slot remap, so the cost is O(change + universe + trained
+  /// pairs copied), with one copy of the string-keyed points.
   std::shared_ptr<const CompiledDatabase> delta_compile(
       const DatabaseDelta& delta) const;
 
   const traindb::TrainingDatabase& database() const { return *db_; }
   std::size_t point_count() const { return points_; }
   std::size_t universe_size() const { return universe_; }
-  /// Doubles per matrix row: `universe_size()` rounded up to a
-  /// multiple of 8 (one 64-byte cache line of doubles), so every row
-  /// starts 64-byte aligned and vector loads need no tail masking.
-  /// Cells in [universe_size(), row_stride()) are pad: mask 0, value
-  /// 0.0.
+  /// Doubles per dense row: `universe_size()` rounded up to a multiple
+  /// of 8 (one 64-byte cache line of doubles). The compiled query
+  /// vectors and the dense layouts some locators build for their
+  /// kernels (k-NN, SSD) use it so vector loads need no tail masking.
   std::size_t row_stride() const { return stride_; }
   bool empty() const { return points_ == 0; }
 
@@ -138,28 +160,29 @@ class CompiledDatabase {
   void compile_observation_into(const Observation& obs,
                                 CompiledObservation* out) const;
 
-  /// Row-major accessors; each row has `universe_size()` meaningful
-  /// doubles followed by zero pad up to `row_stride()`. Every row
-  /// pointer is 64-byte aligned.
-  const double* mean_row(std::size_t point) const {
-    return mean_.data() + point * stride_;
+  /// The trained pairs of `point`, ascending by slot.
+  std::span<const TrainedPair> row(std::size_t point) const {
+    return {pairs_.data() + row_offsets_[point],
+            pairs_.data() + row_offsets_[point + 1]};
   }
-  const double* stddev_row(std::size_t point) const {
-    return stddev_.data() + point * stride_;
+  /// CSR row offsets: row p is pairs()[row_offsets()[p] ..
+  /// row_offsets()[p + 1]); point_count() + 1 entries.
+  const std::vector<std::uint32_t>& row_offsets() const {
+    return row_offsets_;
   }
-  /// Presence as a 1.0/0.0 multiplicative mask (exact 0.0 in pad).
-  const double* mask_row(std::size_t point) const {
-    return mask_.data() + point * stride_;
-  }
-  /// Sample counts as doubles (0 where absent) — pooled-variance
-  /// weights.
-  const double* weight_row(std::size_t point) const {
-    return weight_.data() + point * stride_;
+  /// Every trained pair, row after row.
+  const std::vector<TrainedPair>& pairs() const { return pairs_; }
+
+  /// APs trained at `point` (the row's run length).
+  int trained_count(std::size_t point) const {
+    return static_cast<int>(row_offsets_[point + 1] - row_offsets_[point]);
   }
 
-  /// APs trained at `point` (row popcount).
-  int trained_count(std::size_t point) const {
-    return trained_count_[point];
+  /// Bytes of the compiled form itself: the CSR pairs and row offsets
+  /// (the string-keyed source database is not counted).
+  std::size_t memory_bytes() const {
+    return pairs_.size() * sizeof(TrainedPair) +
+           row_offsets_.size() * sizeof(std::uint32_t);
   }
 
   const traindb::TrainingPoint& point(std::size_t i) const {
@@ -167,38 +190,29 @@ class CompiledDatabase {
   }
 
  private:
-  /// Delta build: takes the merged database plus the compilation it
-  /// evolved from and the per-row changed flags (indices >= base row
-  /// count are appended). Used only by delta_compile.
+  /// Delta build: takes the merged database and its already-built CSR.
+  /// Used only by delta_compile.
   CompiledDatabase(traindb::TrainingDatabase&& merged,
-                   const CompiledDatabase& base,
-                   const std::vector<bool>& row_changed);
+                   std::vector<std::uint32_t> row_offsets,
+                   std::vector<TrainedPair> pairs);
 
-  void build_matrices();
-  /// Interns one point's per-AP stats into the row at `base` (row
-  /// already zeroed) against db_'s universe; returns the trained-AP
-  /// count for the row.
-  int compile_row(const traindb::TrainingPoint& tp, std::size_t base);
-  void delta_build(const CompiledDatabase& base,
-                   const std::vector<bool>& row_changed);
+  void build_rows();
+  void set_shape();
 
-  /// Set only by the owning constructor; db_ then points into it.
+  /// Set only by the owning constructors; db_ then points into it.
   std::shared_ptr<const traindb::TrainingDatabase> owned_;
   const traindb::TrainingDatabase* db_;  // non-owning
   std::size_t points_ = 0;
   std::size_t universe_ = 0;
-  /// Padded row stride (simd::padded_stride(universe_)).
+  /// Padded dense stride (simd::padded_stride(universe_)).
   std::size_t stride_ = 0;
-  simd::AlignedDoubles mean_;
-  simd::AlignedDoubles stddev_;
-  simd::AlignedDoubles mask_;
-  simd::AlignedDoubles weight_;
-  std::vector<int> trained_count_;
+  std::vector<std::uint32_t> row_offsets_;
+  std::vector<TrainedPair> pairs_;
 };
 
 /// Direct ingest-to-serve build: aggregates a wi-scan collection into
 /// training points (fanned out over `pool` when given), interns the
-/// BSSID universe in one bulk pass, and compiles the dense matrices —
+/// BSSID universe in one bulk pass, and compiles the CSR —
 /// the string-keyed TrainingDatabase exists only as the owned
 /// interior of the result, never as a separately managed intermediate.
 /// Exactly equivalent to generate_database(...) + compile(...).
@@ -210,7 +224,7 @@ std::shared_ptr<const CompiledDatabase> compile_collection(
 
 /// Serve-path bootstrap: maps a `.ltdb` file read-only, decodes it
 /// out of the mapped buffer, and compiles — one call from cold disk
-/// to scoring-ready matrices. Throws traindb::CodecError on
+/// to a scoring-ready map. Throws traindb::CodecError on
 /// missing/corrupt input.
 std::shared_ptr<const CompiledDatabase> load_compiled_database(
     const std::filesystem::path& path);

@@ -54,9 +54,8 @@ HistogramLocator::HistogramLocator(
   for (std::size_t p = 0; p < points; ++p) {
     const traindb::TrainingPoint& tp = db.points()[p];
     trained_counts_[p] = static_cast<double>(compiled_->trained_count(p));
-    const double* mask = compiled_->mask_row(p);
-    for (std::size_t u = 0; u < universe; ++u) {
-      mask_cols_[u * point_stride_ + p] = mask[u];
+    for (const TrainedPair& e : compiled_->row(p)) {
+      mask_cols_[e.slot * point_stride_ + p] = 1.0;
     }
     for (std::size_t a = 0; a < tp.per_ap.size(); ++a) {
       const auto slot = compiled_->slot_of(tp.per_ap[a].bssid);

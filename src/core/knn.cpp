@@ -22,12 +22,9 @@ KnnLocator::KnnLocator(std::shared_ptr<const CompiledDatabase> compiled,
   // so padded lanes contribute exact zero to every distance.
   filled_.assign(points * stride, 0.0);
   for (std::size_t p = 0; p < points; ++p) {
-    const double* mean = compiled_->mean_row(p);
-    const double* mask = compiled_->mask_row(p);
     double* row = filled_.data() + p * stride;
-    for (std::size_t u = 0; u < universe; ++u) {
-      row[u] = mask[u] != 0.0 ? mean[u] : config_.missing_dbm;
-    }
+    std::fill(row, row + universe, config_.missing_dbm);
+    for (const TrainedPair& e : compiled_->row(p)) row[e.slot] = e.mean_dbm;
   }
 }
 

@@ -99,12 +99,9 @@ void PlaceRecognitionLocator::build_model() {
   std::unordered_map<std::uint64_t, double> pair11;
   std::vector<std::uint32_t> trained;
   for (std::size_t p = 0; p < points; ++p) {
-    const double* mask = compiled_->mask_row(p);
     const double* row = theta.data() + p * universe;
     trained.clear();
-    for (std::size_t u = 0; u < universe; ++u) {
-      if (mask[u] != 0.0) trained.push_back(static_cast<std::uint32_t>(u));
-    }
+    for (const TrainedPair& e : compiled_->row(p)) trained.push_back(e.slot);
     for (std::size_t a = 0; a < trained.size(); ++a) {
       const double ta = row[trained[a]];
       for (std::size_t b = a + 1; b < trained.size(); ++b) {

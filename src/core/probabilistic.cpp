@@ -63,23 +63,18 @@ void ProbabilisticLocator::build_scorer() {
   const std::size_t points = compiled_->point_count();
   const std::size_t universe = compiled_->universe_size();
 
-  // One pass over the trained cells: pooled per-AP sigma (the
+  // One pass over the trained pairs: pooled per-AP sigma (the
   // sample-count-weighted RMS of the per-point sigmas, i.e. pooled
-  // variance) and the postings count per slot.
+  // variance) and the postings count per slot. Rows are walked in
+  // order, so each slot's sums accumulate in row order.
   pooled_sigma_.assign(universe, config_.sigma_floor_db);
   std::vector<double> var_sum(universe, 0.0);
   std::vector<double> weight(universe, 0.0);
   offsets_.assign(universe + 1, 0);
-  for (std::size_t p = 0; p < points; ++p) {
-    const double* sd = compiled_->stddev_row(p);
-    const double* w = compiled_->weight_row(p);
-    const double* mask = compiled_->mask_row(p);
-    for (std::size_t u = 0; u < universe; ++u) {
-      if (mask[u] == 0.0) continue;
-      var_sum[u] += w[u] * sd[u] * sd[u];
-      weight[u] += w[u];
-      ++offsets_[u + 1];
-    }
+  for (const TrainedPair& e : compiled_->pairs()) {
+    var_sum[e.slot] += e.weight * e.stddev_db * e.stddev_db;
+    weight[e.slot] += e.weight;
+    ++offsets_[e.slot + 1];
   }
   for (std::size_t u = 0; u < universe; ++u) {
     if (weight[u] > 0.0) {
@@ -89,22 +84,18 @@ void ProbabilisticLocator::build_scorer() {
     offsets_[u + 1] += offsets_[u];
   }
 
-  // Second pass files each trained cell under its slot. Rows are
+  // Second pass files each trained pair under its slot. Rows are
   // visited in order, so every slot's postings come out ascending.
   postings_.resize(offsets_[universe]);
   std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
   for (std::size_t p = 0; p < points; ++p) {
-    const double* mean = compiled_->mean_row(p);
-    const double* sd = compiled_->stddev_row(p);
-    const double* mask = compiled_->mask_row(p);
-    for (std::size_t u = 0; u < universe; ++u) {
-      if (mask[u] == 0.0) continue;
+    for (const TrainedPair& e : compiled_->row(p)) {
       const double sigma =
           config_.use_pooled_sigma
-              ? pooled_sigma_[u]
-              : std::max(sd[u], config_.sigma_floor_db);
-      postings_[cursor[u]++] = {
-          .mean = mean[u],
+              ? pooled_sigma_[e.slot]
+              : std::max(e.stddev_db, config_.sigma_floor_db);
+      postings_[cursor[e.slot]++] = {
+          .mean = e.mean_dbm,
           .log_norm = -0.5 * std::log(stats::kTwoPi * sigma * sigma),
           .inv_two_var = 0.5 / (sigma * sigma),
           .row = static_cast<std::uint32_t>(p)};

@@ -121,7 +121,6 @@ class ProbabilisticLocator : public Locator {
   /// enabled); falls back to the floor for unknown BSSIDs.
   double pooled_sigma_db(const std::string& bssid) const;
 
- private:
   /// One trained cell, filed under its universe slot.
   struct Posting {
     double mean = 0.0;
@@ -131,6 +130,17 @@ class ProbabilisticLocator : public Locator {
     std::uint32_t row = 0;
   };
 
+  /// The scorer's tables, read by the delta-compile oracle
+  /// (testkit::compare_compiled_databases): the postings, their slot
+  /// offsets (universe_size() + 1 entries) and the pooled sigma per
+  /// slot.
+  const std::vector<Posting>& postings() const { return postings_; }
+  const std::vector<std::uint32_t>& posting_offsets() const {
+    return offsets_;
+  }
+  const std::vector<double>& pooled_sigmas() const { return pooled_sigma_; }
+
+ private:
   void build_scorer();
   /// Scores `obs` against every row and calls `visit(row, ll, common)`
   /// once per row in database order, `ll` already penalized and

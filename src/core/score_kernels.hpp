@@ -5,8 +5,8 @@
 /// interface from base/simd.hpp and instantiated per backend.
 ///
 /// Each kernel consumes 64-byte-aligned rows whose stride is a
-/// multiple of simd::kLanes (CompiledDatabase pads its SoA matrices
-/// and compiled observations; see `CompiledDatabase::row_stride`), so
+/// multiple of simd::kLanes (compiled observations and the locators'
+/// own dense signatures; see `CompiledDatabase::row_stride`), so
 /// the loops below use aligned full-width loads with no scalar tail.
 /// Pad cells carry mask = 0 and value 0.0, which makes every padded
 /// term an exact +/-0.0 — they cannot perturb the sums.

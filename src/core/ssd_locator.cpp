@@ -18,6 +18,17 @@ SsdLocator::SsdLocator(std::shared_ptr<const CompiledDatabase> compiled,
     : compiled_(std::move(compiled)), config_(config) {
   config_.k = std::max(1, config_.k);
   config_.min_common_aps = std::max(1, config_.min_common_aps);
+  // Dense trained means and presence mask, untrained and pad cells
+  // 0.0, built from the compiled rows for the two-pass kernels.
+  const std::size_t stride = compiled_->row_stride();
+  mean_.assign(compiled_->point_count() * stride, 0.0);
+  mask_.assign(compiled_->point_count() * stride, 0.0);
+  for (std::size_t p = 0; p < compiled_->point_count(); ++p) {
+    for (const TrainedPair& e : compiled_->row(p)) {
+      mean_[p * stride + e.slot] = e.mean_dbm;
+      mask_[p * stride + e.slot] = 1.0;
+    }
+  }
 }
 
 std::string SsdLocator::name() const {
@@ -69,8 +80,8 @@ LocationEstimate SsdLocator::locate(const Observation& obs) const {
   std::vector<Neighbor> neighbors;
   neighbors.reserve(points);
   for (std::size_t p = 0; p < points; ++p) {
-    const double* mean = compiled_->mean_row(p);
-    const double* mask = compiled_->mask_row(p);
+    const double* mean = mean_.data() + p * stride;
+    const double* mask = mask_.data() + p * stride;
     // Pass 1: size and per-side sums of the common subset.
     const kernels::SsdMoments mom = kernels::ssd_moments_row<simd::Vec4d>(
         mean, mask, q.mean_dbm.data(), q.present.data(), stride);

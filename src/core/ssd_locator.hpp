@@ -49,7 +49,7 @@ class SsdLocator : public Locator {
   /// Offset-invariant distance between the observation and a training
   /// point; +infinity when they share fewer than min_common_aps APs.
   /// Reference implementation; locate() runs the same arithmetic as a
-  /// masked dense kernel over the compiled matrices.
+  /// masked dense kernel over the locator's own dense signatures.
   double ssd_distance(const Observation& obs,
                       const traindb::TrainingPoint& point) const;
 
@@ -58,6 +58,11 @@ class SsdLocator : public Locator {
  private:
   std::shared_ptr<const CompiledDatabase> compiled_;
   SsdConfig config_;
+  /// Row-major points x row_stride() trained means and 1.0/0.0
+  /// presence mask, built from the compiled rows; untrained and pad
+  /// cells are 0.0 so the masked kernels see exact zero terms there.
+  simd::AlignedDoubles mean_;
+  simd::AlignedDoubles mask_;
 };
 
 }  // namespace loctk::core

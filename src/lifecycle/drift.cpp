@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 namespace loctk::lifecycle {
 
@@ -9,7 +10,7 @@ DriftMonitor::DriftMonitor(
     std::shared_ptr<const core::CompiledDatabase> db, DriftConfig config)
     : db_(std::move(db)),
       config_(config),
-      state_(db_->point_count() * db_->universe_size()),
+      state_(db_->pairs().size()),
       last_seen_(db_->point_count(), 0),
       observations_counter_(&metrics::counter("lifecycle.drift.observations")),
       dropped_counter_(&metrics::counter("lifecycle.drift.dropped")),
@@ -30,18 +31,16 @@ void DriftMonitor::observe(std::size_t point, const core::Observation& obs) {
   // absence fold where it was not. APs heard but not trained here say
   // nothing about this row's health (they may simply be new — the
   // intake path, not the monitor, brings them into the map).
-  const double* mask = db_->mask_row(point);
-  const double* mean = db_->mean_row(point);
   const auto& universe = db_->database().bssid_universe();
   const double a = config_.alpha;
-  for (std::size_t u = 0; u < db_->universe_size(); ++u) {
-    if (mask[u] == 0.0) continue;
-    PairState& s = state_[index(point, u)];
-    const std::optional<double> live = obs.mean_of(universe[u]);
+  PairState* state = state_.data() + db_->row_offsets()[point];
+  for (const core::TrainedPair& e : db_->row(point)) {
+    PairState& s = *state++;
+    const std::optional<double> live = obs.mean_of(universe[e.slot]);
     if (live.has_value() && std::isfinite(*live)) {
-      s.ewma_db = s.updates == 0 ? *live - mean[u]
+      s.ewma_db = s.updates == 0 ? *live - e.mean_dbm
                                  : (1.0 - a) * s.ewma_db +
-                                       a * (*live - mean[u]);
+                                       a * (*live - e.mean_dbm);
       s.visibility = (1.0 - a) * s.visibility + a;
       ++s.updates;
     } else {
@@ -68,20 +67,19 @@ DriftReport DriftMonitor::report() const {
   DriftReport report;
   report.observations = observations_;
   const auto& universe = db_->database().bssid_universe();
+  const PairState* state = state_.data();
   for (std::size_t p = 0; p < db_->point_count(); ++p) {
-    const double* mask = db_->mask_row(p);
-    for (std::size_t u = 0; u < db_->universe_size(); ++u) {
-      if (mask[u] == 0.0) continue;
-      const PairState& s = state_[index(p, u)];
+    for (const core::TrainedPair& e : db_->row(p)) {
+      const PairState& s = *state++;
       if (s.updates < config_.min_updates) continue;
       report.max_abs_ewma_db =
           std::max(report.max_abs_ewma_db, std::abs(s.ewma_db));
       if (s.visibility < config_.vanish_visibility) {
-        report.drifted.push_back(
-            {p, universe[u], DriftKind::kVanished, s.ewma_db, s.visibility});
+        report.drifted.push_back({p, universe[e.slot], DriftKind::kVanished,
+                                  s.ewma_db, s.visibility});
       } else if (std::abs(s.ewma_db) > config_.drift_threshold_db) {
-        report.drifted.push_back(
-            {p, universe[u], DriftKind::kShifted, s.ewma_db, s.visibility});
+        report.drifted.push_back({p, universe[e.slot], DriftKind::kShifted,
+                                  s.ewma_db, s.visibility});
       }
     }
     if (observations_ >= config_.stale_after &&
@@ -101,15 +99,14 @@ void DriftMonitor::rebase(std::shared_ptr<const core::CompiledDatabase> db) {
   std::vector<std::uint64_t> old_last = std::move(last_seen_);
 
   db_ = std::move(db);
-  state_.assign(db_->point_count() * db_->universe_size(), PairState{});
+  state_.assign(db_->pairs().size(), PairState{});
   last_seen_.assign(db_->point_count(), 0);
 
-  // Old slot of every new universe BSSID, resolved once.
-  const auto& new_universe = db_->database().bssid_universe();
-  std::vector<std::optional<std::uint32_t>> old_slot(new_universe.size());
-  for (std::size_t u = 0; u < new_universe.size(); ++u) {
-    old_slot[u] = old->slot_of(new_universe[u]);
-  }
+  // New slot of every old universe BSSID; monotonic, so an old row's
+  // run stays ascending under it and merges with the new row's run.
+  const std::vector<std::uint32_t> new_slot =
+      core::remap_slots(old->database().bssid_universe(),
+                        db_->database().bssid_universe());
 
   const auto& old_points = old->database().points();
   for (std::size_t p = 0; p < db_->point_count(); ++p) {
@@ -120,19 +117,23 @@ void DriftMonitor::rebase(std::shared_ptr<const core::CompiledDatabase> db) {
       continue;
     }
     last_seen_[p] = old_last[p];
-    const double* new_mask = db_->mask_row(p);
-    const double* new_mean = db_->mean_row(p);
-    const double* o_mask = old->mask_row(p);
-    const double* o_mean = old->mean_row(p);
-    for (std::size_t u = 0; u < db_->universe_size(); ++u) {
-      if (new_mask[u] == 0.0 || !old_slot[u].has_value()) continue;
-      const std::size_t ou = *old_slot[u];
-      // Same trained mean ⇒ the evidence still applies; a changed mean
-      // (resurveyed row) must re-earn its EWMA against the new
-      // baseline.
-      if (o_mask[ou] != 0.0 && o_mean[ou] == new_mean[u]) {
-        state_[index(p, u)] =
-            old_state[p * old->universe_size() + ou];
+    const std::span<const core::TrainedPair> was = old->row(p);
+    const std::span<const core::TrainedPair> now = db_->row(p);
+    const PairState* from = old_state.data() + old->row_offsets()[p];
+    PairState* to = state_.data() + db_->row_offsets()[p];
+    for (std::size_t i = 0, j = 0; i < was.size() && j < now.size();) {
+      const std::uint32_t slot = new_slot[was[i].slot];
+      if (slot == core::kNoSlot || slot < now[j].slot) {
+        ++i;
+      } else if (slot > now[j].slot) {
+        ++j;
+      } else {
+        // Same trained mean ⇒ the evidence still applies; a changed
+        // mean (resurveyed row) must re-earn its EWMA against the new
+        // baseline.
+        if (was[i].mean_dbm == now[j].mean_dbm) to[j] = from[i];
+        ++i;
+        ++j;
       }
     }
   }

@@ -104,7 +104,8 @@ class DriftMonitor {
   /// <point, AP> pairs whose trained mean is unchanged and reset where
   /// the new compilation disagrees with the old (resurveyed rows, new
   /// or re-interned slots) — a refreshed row must re-earn its drift
-  /// evidence against the new means.
+  /// evidence against the new means. One merge by slot per row under
+  /// the old → new slot remap: O(universe + trained pairs).
   void rebase(std::shared_ptr<const core::CompiledDatabase> db);
 
   const core::CompiledDatabase& database() const { return *db_; }
@@ -117,14 +118,10 @@ class DriftMonitor {
     std::uint32_t updates = 0;
   };
 
-  std::size_t index(std::size_t point, std::size_t slot) const {
-    return point * db_->universe_size() + slot;
-  }
-
   std::shared_ptr<const core::CompiledDatabase> db_;
   DriftConfig config_;
-  /// Dense points x universe pair state (universe-sized rows, no SIMD
-  /// padding — this is control-plane bookkeeping).
+  /// One state per trained pair, aligned with db_->pairs(): row p's
+  /// states are state_[row_offsets()[p] .. row_offsets()[p + 1]).
   std::vector<PairState> state_;
   /// Monitor observation index of each point's last attribution; 0
   /// means never seen.

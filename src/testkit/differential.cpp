@@ -1,12 +1,14 @@
 #include "testkit/differential.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "core/compiled_db.hpp"
 #include "core/histogram_locator.hpp"
@@ -268,55 +270,106 @@ CompiledDiffReport compare_compiled_databases(
       ++report.truncated;
     }
   };
+  // Bit-exact contract, no tolerance: -0.0 vs 0.0 is a difference.
+  // Messages are formatted only on a mismatch.
+  auto value = [&](const char* what, std::size_t i, std::size_t j, double a,
+                   double b) {
+    if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b)) {
+      return;
+    }
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), "%s[%zu][%zu]: delta %.17g vs rebuild %.17g",
+                  what, i, j, a, b);
+    note(buf);
+  };
+  auto count = [&](const char* what, std::size_t i, std::size_t a,
+                   std::size_t b) {
+    if (a == b) return;
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), "%s %zu: delta %zu vs rebuild %zu", what,
+                  i, a, b);
+    note(buf);
+  };
 
   if (delta.database() != rebuild.database()) {
     note("source TrainingDatabase differs (points/universe/site name)");
   }
-  if (delta.point_count() != rebuild.point_count()) {
-    note("point count: delta " + std::to_string(delta.point_count()) +
-         " vs rebuild " + std::to_string(rebuild.point_count()));
-  }
-  if (delta.universe_size() != rebuild.universe_size()) {
-    note("universe size: delta " + std::to_string(delta.universe_size()) +
-         " vs rebuild " + std::to_string(rebuild.universe_size()));
-  }
-  if (delta.row_stride() != rebuild.row_stride()) {
-    note("row stride: delta " + std::to_string(delta.row_stride()) +
-         " vs rebuild " + std::to_string(rebuild.row_stride()));
-  }
-  if (!report.ok()) return report;  // shapes differ; cells are meaningless
+  auto shape = [&](const char* what, std::size_t a, std::size_t b) {
+    if (a == b) return;
+    note(std::string(what) + ": delta " + std::to_string(a) + " vs rebuild " +
+         std::to_string(b));
+  };
+  shape("point count", delta.point_count(), rebuild.point_count());
+  shape("universe size", delta.universe_size(), rebuild.universe_size());
+  shape("row stride", delta.row_stride(), rebuild.row_stride());
+  shape("trained pairs", delta.pairs().size(), rebuild.pairs().size());
+  if (!report.ok()) return report;  // shapes differ; rows are meaningless
 
-  struct Matrix {
-    const char* name;
-    const double* (core::CompiledDatabase::*row)(std::size_t) const;
-  };
-  static constexpr Matrix kMatrices[] = {
-      {"mean", &core::CompiledDatabase::mean_row},
-      {"stddev", &core::CompiledDatabase::stddev_row},
-      {"mask", &core::CompiledDatabase::mask_row},
-      {"weight", &core::CompiledDatabase::weight_row},
-  };
-  const std::size_t stride = delta.row_stride();
+  const auto& universe = delta.database().bssid_universe();
+  for (std::size_t p = 0; p <= delta.point_count(); ++p) {
+    count("row offset", p, delta.row_offsets()[p], rebuild.row_offsets()[p]);
+  }
   for (std::size_t p = 0; p < delta.point_count(); ++p) {
-    if (delta.trained_count(p) != rebuild.trained_count(p)) {
-      note("trained_count row " + std::to_string(p) + ": delta " +
-           std::to_string(delta.trained_count(p)) + " vs rebuild " +
-           std::to_string(rebuild.trained_count(p)));
-    }
-    for (const Matrix& m : kMatrices) {
-      const double* a = (delta.*m.row)(p);
-      const double* b = (rebuild.*m.row)(p);
-      // Pad cells included: both builds promise exact 0.0 there.
-      for (std::size_t u = 0; u < stride; ++u) {
-        ++report.cells_compared;
-        if (a[u] == b[u]) continue;  // bit-exact contract, no tolerance
-        char buf[160];
-        std::snprintf(buf, sizeof(buf),
-                      "%s[%zu][%zu]: delta %.17g vs rebuild %.17g", m.name,
-                      p, u, a[u], b[u]);
-        note(buf);
+    count("trained_count row", p,
+          static_cast<std::size_t>(delta.trained_count(p)),
+          static_cast<std::size_t>(rebuild.trained_count(p)));
+    const std::span<const core::TrainedPair> a = delta.row(p);
+    const std::span<const core::TrainedPair> b = rebuild.row(p);
+    for (const auto* run : {&a, &b}) {
+      for (std::size_t i = 0; i < run->size(); ++i) {
+        if ((*run)[i].slot >= universe.size() ||
+            (i > 0 && (*run)[i].slot <= (*run)[i - 1].slot)) {
+          note("row " + std::to_string(p) + " of the " +
+               (run == &a ? "delta" : "rebuild") +
+               ": slots not ascending inside the universe at entry " +
+               std::to_string(i));
+        }
       }
     }
+    // Merge by slot: a slot trained on one side only is the dense
+    // compare's mask difference; a common slot compares every value.
+    for (std::size_t i = 0, j = 0; i < a.size() || j < b.size();) {
+      if (j == b.size() || (i < a.size() && a[i].slot < b[j].slot)) {
+        note("row " + std::to_string(p) + " slot " +
+             std::to_string(a[i].slot) + ": trained in the delta only");
+        ++i;
+      } else if (i == a.size() || b[j].slot < a[i].slot) {
+        note("row " + std::to_string(p) + " slot " +
+             std::to_string(b[j].slot) + ": trained in the rebuild only");
+        ++j;
+      } else {
+        value("mean", p, a[i].slot, a[i].mean_dbm, b[j].mean_dbm);
+        value("stddev", p, a[i].slot, a[i].stddev_db, b[j].stddev_db);
+        value("weight", p, a[i].slot, a[i].weight, b[j].weight);
+        ++i;
+        ++j;
+      }
+    }
+    report.cells_compared += 4 * delta.row_stride();
+  }
+
+  // The scorer each side serves: postings and pooled sigma per slot.
+  const core::ProbabilisticLocator da(
+      std::shared_ptr<const core::CompiledDatabase>(
+          std::shared_ptr<const core::CompiledDatabase>{}, &delta));
+  const core::ProbabilisticLocator rb(
+      std::shared_ptr<const core::CompiledDatabase>(
+          std::shared_ptr<const core::CompiledDatabase>{}, &rebuild));
+  for (std::size_t u = 0; u < universe.size(); ++u) {
+    value("pooled_sigma", u, u, da.pooled_sigmas()[u], rb.pooled_sigmas()[u]);
+  }
+  for (std::size_t u = 0; u <= universe.size(); ++u) {
+    count("posting offset", u, da.posting_offsets()[u],
+          rb.posting_offsets()[u]);
+  }
+  if (!report.ok()) return report;
+  for (std::size_t k = 0; k < da.postings().size(); ++k) {
+    const core::ProbabilisticLocator::Posting& x = da.postings()[k];
+    const core::ProbabilisticLocator::Posting& y = rb.postings()[k];
+    count("row of posting", k, x.row, y.row);
+    value("posting mean", k, x.row, x.mean, y.mean);
+    value("posting log_norm", k, x.row, x.log_norm, y.log_norm);
+    value("posting inv_two_var", k, x.row, x.inv_two_var, y.inv_two_var);
   }
   return report;
 }

@@ -76,10 +76,17 @@ DifferentialReport run_differential_oracle(
 /// Exact structural diff of two compilations — the delta-compile
 /// oracle gate. Zero tolerance: delta compilation copies or re-interns
 /// the very same doubles a from-scratch build writes, so the source
-/// database, universe, strides, every matrix cell (pad included), and
-/// the per-row trained counts must be identical. Any difference is a
-/// defect, never rounding.
+/// database, universe, stride, CSR row offsets, every trained pair's
+/// slot, mean, σ and weight (bitwise), the per-row trained counts, and
+/// the postings and pooled σ of a ProbabilisticLocator built on each
+/// side must be identical. A pair trained on one side only is
+/// reported by row and slot. Any difference is a defect, never
+/// rounding.
 struct CompiledDiffReport {
+  /// Dense-equivalent cells the compare covers: mean, σ, mask and
+  /// weight over points x row_stride(), the cells a dense
+  /// cell-for-cell compare would read (a slot absent from both runs is
+  /// equal there by construction).
   std::uint64_t cells_compared = 0;
   /// Human-readable mismatch descriptions, capped at 32 entries
   /// (`truncated` reports the overflow).

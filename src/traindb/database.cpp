@@ -15,6 +15,13 @@ const ApStatistics* TrainingPoint::find(const std::string& bssid) const {
   return it == per_ap.end() || it->bssid != bssid ? nullptr : &*it;
 }
 
+void TrainingPoint::sort_per_ap() {
+  std::sort(per_ap.begin(), per_ap.end(),
+            [](const ApStatistics& a, const ApStatistics& b) {
+              return a.bssid < b.bssid;
+            });
+}
+
 std::vector<double> TrainingPoint::signature(
     const std::vector<std::string>& universe, double missing_dbm) const {
   std::vector<double> out;
@@ -35,10 +42,7 @@ TrainingDatabase TrainingDatabase::from_points(
   std::vector<const std::string*> names;
   names.reserve(points.size());
   for (TrainingPoint& point : points) {
-    std::sort(point.per_ap.begin(), point.per_ap.end(),
-              [](const ApStatistics& a, const ApStatistics& b) {
-                return a.bssid < b.bssid;
-              });
+    point.sort_per_ap();
     for (const ApStatistics& s : point.per_ap) universe.push_back(s.bssid);
     names.push_back(&point.location);
   }
@@ -60,15 +64,22 @@ TrainingDatabase TrainingDatabase::from_points(
   return db;
 }
 
+TrainingDatabase TrainingDatabase::from_sorted_parts(
+    std::vector<TrainingPoint> points, std::vector<std::string> universe,
+    std::string site_name) {
+  TrainingDatabase db;
+  db.site_name_ = std::move(site_name);
+  db.points_ = std::move(points);
+  db.universe_ = std::move(universe);
+  return db;
+}
+
 void TrainingDatabase::add_point(TrainingPoint point) {
   if (find(point.location) != nullptr) {
     throw DatabaseError("TrainingDatabase: duplicate location: " +
                         point.location);
   }
-  std::sort(point.per_ap.begin(), point.per_ap.end(),
-            [](const ApStatistics& a, const ApStatistics& b) {
-              return a.bssid < b.bssid;
-            });
+  point.sort_per_ap();
   for (const ApStatistics& s : point.per_ap) {
     const auto it =
         std::lower_bound(universe_.begin(), universe_.end(), s.bssid);

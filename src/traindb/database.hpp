@@ -40,6 +40,16 @@ class TrainingDatabase {
   static TrainingDatabase from_points(std::vector<TrainingPoint> points,
                                       std::string site_name = {});
 
+  /// Assembly without the sorts: for callers that already hold what
+  /// from_points establishes — every per-AP list sorted by BSSID
+  /// (`TrainingPoint::sort_per_ap`), `universe` the sorted unique
+  /// union of their BSSIDs, and unique location names. Nothing is
+  /// checked; the compiled map's delta path uses it to assemble a
+  /// merged database from an already-valid one plus sorted upserts.
+  static TrainingDatabase from_sorted_parts(
+      std::vector<TrainingPoint> points, std::vector<std::string> universe,
+      std::string site_name);
+
   const std::vector<TrainingPoint>& points() const { return points_; }
   std::size_t size() const { return points_.size(); }
   bool empty() const { return points_.empty(); }

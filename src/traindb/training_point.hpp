@@ -62,6 +62,9 @@ struct TrainingPoint {
   /// Statistics for `bssid`, or nullptr when the AP was never heard.
   const ApStatistics* find(const std::string& bssid) const;
 
+  /// Sorts `per_ap` by BSSID, the order every database keeps.
+  void sort_per_ap();
+
   /// Mean-signal signature over an ordered BSSID universe; APs not
   /// heard at this point yield `missing_dbm` (a weak-floor sentinel).
   std::vector<double> signature(const std::vector<std::string>& universe,

@@ -92,21 +92,27 @@ TEST(CompiledDatabase, InternsUniverseAndRows) {
   for (std::size_t p = 0; p < db.size(); ++p) {
     const traindb::TrainingPoint& tp = db.points()[p];
     EXPECT_EQ(cdb.trained_count(p), static_cast<int>(tp.per_ap.size()));
-    for (const traindb::ApStatistics& s : tp.per_ap) {
+    const auto row = cdb.row(p);
+    ASSERT_EQ(row.size(), tp.per_ap.size());
+    for (std::size_t a = 0; a < tp.per_ap.size(); ++a) {
+      const traindb::ApStatistics& s = tp.per_ap[a];
       const auto slot = cdb.slot_of(s.bssid);
       ASSERT_TRUE(slot.has_value());
-      EXPECT_EQ(cdb.mean_row(p)[*slot], s.mean_dbm);
-      EXPECT_EQ(cdb.stddev_row(p)[*slot], s.stddev_db);
-      EXPECT_EQ(cdb.mask_row(p)[*slot], 1.0);
+      EXPECT_EQ(row[a].slot, *slot);
+      EXPECT_EQ(row[a].mean_dbm, s.mean_dbm);
+      EXPECT_EQ(row[a].stddev_db, s.stddev_db);
+      EXPECT_EQ(row[a].weight, static_cast<double>(s.sample_count));
     }
   }
   EXPECT_FALSE(cdb.slot_of("nope").has_value());
 }
 
-// v2 kernel invariant: every SoA matrix row (and every compiled
-// query vector) is 64-byte aligned with a row stride that is a
-// multiple of 8 doubles, and the stride pad carries exact zeros —
-// the SIMD kernels rely on this for unmasked aligned loads.
+// v2 kernel invariant: every compiled query vector is 64-byte
+// aligned with a row stride that is a multiple of 8 doubles, and the
+// stride pad carries exact zeros — the SIMD kernels rely on this for
+// unmasked aligned loads. The map itself is a CSR whose rows are runs
+// of strictly ascending in-universe slots, with no storage sized by
+// the stride.
 TEST(CompiledDatabase, RowsAre64ByteAlignedWithPaddedStride) {
   stats::Rng rng(7100);
   for (const int universe_n : {1, 3, 7, 8, 9, 16}) {
@@ -115,16 +121,21 @@ TEST(CompiledDatabase, RowsAre64ByteAlignedWithPaddedStride) {
     EXPECT_EQ(cdb.row_stride() % simd::kStrideDoubles, 0u);
     EXPECT_GE(cdb.row_stride(), cdb.universe_size());
     EXPECT_LT(cdb.row_stride(), cdb.universe_size() + simd::kStrideDoubles);
+    ASSERT_EQ(cdb.row_offsets().size(), cdb.point_count() + 1);
+    EXPECT_EQ(cdb.row_offsets().front(), 0u);
+    EXPECT_EQ(cdb.row_offsets().back(), cdb.pairs().size());
     for (std::size_t p = 0; p < cdb.point_count(); ++p) {
-      EXPECT_TRUE(simd::is_aligned(cdb.mean_row(p)));
-      EXPECT_TRUE(simd::is_aligned(cdb.stddev_row(p)));
-      EXPECT_TRUE(simd::is_aligned(cdb.mask_row(p)));
-      EXPECT_TRUE(simd::is_aligned(cdb.weight_row(p)));
-      for (std::size_t u = cdb.universe_size(); u < cdb.row_stride(); ++u) {
-        EXPECT_EQ(cdb.mean_row(p)[u], 0.0);
-        EXPECT_EQ(cdb.mask_row(p)[u], 0.0);
+      const auto row = cdb.row(p);
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        EXPECT_LT(row[i].slot, cdb.universe_size());
+        if (i > 0) {
+          EXPECT_LT(row[i - 1].slot, row[i].slot);
+        }
       }
     }
+    EXPECT_EQ(cdb.memory_bytes(),
+              cdb.pairs().size() * sizeof(TrainedPair) +
+                  (cdb.point_count() + 1) * sizeof(std::uint32_t));
     const Observation obs = random_obs(rng, universe_n);
     const CompiledObservation q = cdb.compile_observation(obs);
     ASSERT_EQ(q.mean_dbm.size(), cdb.row_stride());

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
@@ -147,6 +149,312 @@ TEST(DriftMonitor, RebaseResetsResurveyedRowsKeepsOthers) {
   const std::vector<std::size_t> points = report.drifted_points();
   ASSERT_EQ(points.size(), 1u);
   EXPECT_EQ(monitor.database().point(points[0]).location, "g0-0");
+}
+
+// ------------------------------------------------ drift rebase oracle
+
+/// The dense reference: DriftMonitor's observe/rebase/report as they
+/// were over points x universe matrices, transcribed with the matrices
+/// rebuilt here from the string-keyed database, so the oracle shares
+/// nothing with the compiled CSR the monitor walks.
+class DenseDriftReference {
+ public:
+  DenseDriftReference(std::shared_ptr<const core::CompiledDatabase> db,
+                      DriftConfig config)
+      : config_(config) {
+    set_db(std::move(db));
+    state_.assign(points() * universe(), PairState{});
+    last_seen_.assign(points(), 0);
+  }
+
+  void observe(std::size_t point, const core::Observation& obs) {
+    if (point >= points()) return;
+    ++observations_;
+    last_seen_[point] = observations_;
+    const auto& names = db_->database().bssid_universe();
+    const double a = config_.alpha;
+    for (std::size_t u = 0; u < universe(); ++u) {
+      if (mask_[point * universe() + u] == 0.0) continue;
+      PairState& s = state_[point * universe() + u];
+      const double mean = mean_[point * universe() + u];
+      const std::optional<double> live = obs.mean_of(names[u]);
+      if (live.has_value() && std::isfinite(*live)) {
+        s.ewma_db = s.updates == 0 ? *live - mean
+                                   : (1.0 - a) * s.ewma_db + a * (*live - mean);
+        s.visibility = (1.0 - a) * s.visibility + a;
+        ++s.updates;
+      } else {
+        s.visibility = (1.0 - a) * s.visibility;
+        ++s.updates;
+      }
+    }
+  }
+
+  DriftReport report() const {
+    DriftReport report;
+    report.observations = observations_;
+    const auto& names = db_->database().bssid_universe();
+    for (std::size_t p = 0; p < points(); ++p) {
+      for (std::size_t u = 0; u < universe(); ++u) {
+        if (mask_[p * universe() + u] == 0.0) continue;
+        const PairState& s = state_[p * universe() + u];
+        if (s.updates < config_.min_updates) continue;
+        report.max_abs_ewma_db =
+            std::max(report.max_abs_ewma_db, std::abs(s.ewma_db));
+        if (s.visibility < config_.vanish_visibility) {
+          report.drifted.push_back(
+              {p, names[u], DriftKind::kVanished, s.ewma_db, s.visibility});
+        } else if (std::abs(s.ewma_db) > config_.drift_threshold_db) {
+          report.drifted.push_back(
+              {p, names[u], DriftKind::kShifted, s.ewma_db, s.visibility});
+        }
+      }
+      if (observations_ >= config_.stale_after &&
+          observations_ - last_seen_[p] >= config_.stale_after) {
+        report.stale_points.push_back(p);
+      }
+    }
+    return report;
+  }
+
+  void rebase(std::shared_ptr<const core::CompiledDatabase> db) {
+    const std::shared_ptr<const core::CompiledDatabase> old = db_;
+    const std::vector<double> old_mean = mean_;
+    const std::vector<double> old_mask = mask_;
+    const std::size_t old_universe = universe();
+    std::vector<PairState> old_state = std::move(state_);
+    std::vector<std::uint64_t> old_last = std::move(last_seen_);
+
+    set_db(std::move(db));
+    state_.assign(points() * universe(), PairState{});
+    last_seen_.assign(points(), 0);
+    const auto& names = db_->database().bssid_universe();
+    const auto& old_points = old->database().points();
+    for (std::size_t p = 0; p < points(); ++p) {
+      if (p >= old_points.size() ||
+          old_points[p].location != db_->point(p).location) {
+        continue;
+      }
+      last_seen_[p] = old_last[p];
+      for (std::size_t u = 0; u < universe(); ++u) {
+        const auto ou = old->database().bssid_index(names[u]);
+        if (mask_[p * universe() + u] == 0.0 || !ou.has_value()) continue;
+        if (old_mask[p * old_universe + *ou] != 0.0 &&
+            old_mean[p * old_universe + *ou] == mean_[p * universe() + u]) {
+          state_[p * universe() + u] = old_state[p * old_universe + *ou];
+        }
+      }
+    }
+  }
+
+ private:
+  struct PairState {
+    double ewma_db = 0.0;
+    double visibility = 1.0;
+    std::uint32_t updates = 0;
+  };
+
+  std::size_t points() const { return db_->point_count(); }
+  std::size_t universe() const { return db_->universe_size(); }
+
+  void set_db(std::shared_ptr<const core::CompiledDatabase> db) {
+    db_ = std::move(db);
+    mean_.assign(points() * universe(), 0.0);
+    mask_.assign(points() * universe(), 0.0);
+    const traindb::TrainingDatabase& tdb = db_->database();
+    for (std::size_t p = 0; p < points(); ++p) {
+      for (const traindb::ApStatistics& s : tdb.points()[p].per_ap) {
+        const std::size_t u = *tdb.bssid_index(s.bssid);
+        if (mask_[p * universe() + u] != 0.0) continue;  // first wins
+        mean_[p * universe() + u] = s.mean_dbm;
+        mask_[p * universe() + u] = 1.0;
+      }
+    }
+  }
+
+  std::shared_ptr<const core::CompiledDatabase> db_;
+  DriftConfig config_;
+  std::vector<double> mean_;
+  std::vector<double> mask_;
+  std::vector<PairState> state_;
+  std::vector<std::uint64_t> last_seen_;
+  std::uint64_t observations_ = 0;
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void expect_same_report(const DriftReport& got, const DriftReport& want,
+                        const std::string& where) {
+  EXPECT_EQ(got.observations, want.observations) << where;
+  EXPECT_TRUE(same_bits(got.max_abs_ewma_db, want.max_abs_ewma_db))
+      << where << ": " << got.max_abs_ewma_db << " vs "
+      << want.max_abs_ewma_db;
+  EXPECT_EQ(got.stale_points, want.stale_points) << where;
+  ASSERT_EQ(got.drifted.size(), want.drifted.size()) << where;
+  for (std::size_t i = 0; i < got.drifted.size(); ++i) {
+    const DriftedPair& g = got.drifted[i];
+    const DriftedPair& w = want.drifted[i];
+    EXPECT_EQ(g.point, w.point) << where << " #" << i;
+    EXPECT_EQ(g.bssid, w.bssid) << where << " #" << i;
+    EXPECT_EQ(g.kind, w.kind) << where << " #" << i;
+    EXPECT_TRUE(same_bits(g.ewma_db, w.ewma_db)) << where << " #" << i;
+    EXPECT_TRUE(same_bits(g.visibility, w.visibility)) << where << " #" << i;
+  }
+}
+
+std::string drift_bssid(int i) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "dr:%04d", i);
+  return buf;
+}
+
+traindb::ApStatistics drift_stat(int bssid, double mean) {
+  traindb::ApStatistics s;
+  s.bssid = drift_bssid(bssid);
+  s.mean_dbm = mean;
+  s.stddev_db = 2.0;
+  s.sample_count = 10;
+  s.scan_count = 10;
+  return s;
+}
+
+/// Random row over BSSIDs [0, span): each AP trained with probability
+/// `density` at a whole-dB mean.
+traindb::TrainingPoint drift_point(stats::Rng& rng, std::string location,
+                                   int span, double density) {
+  traindb::TrainingPoint tp;
+  tp.location = std::move(location);
+  tp.position = {rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)};
+  for (int b = 0; b < span; ++b) {
+    if (rng.bernoulli(density)) {
+      tp.per_ap.push_back(drift_stat(
+          b, static_cast<double>(rng.uniform_int(-90, -40))));
+    }
+  }
+  return tp;
+}
+
+/// An observation near `tp` (some APs shifted, some missing, a few
+/// untrained ones heard).
+core::Observation drift_observation(stats::Rng& rng,
+                                    const traindb::TrainingPoint& tp,
+                                    int span) {
+  std::vector<radio::ScanRecord> scans(1);
+  const double shift = rng.bernoulli(0.3) ? 9.0 : 0.0;
+  for (const traindb::ApStatistics& s : tp.per_ap) {
+    if (rng.bernoulli(0.8)) {
+      scans[0].samples.push_back(
+          {s.bssid, s.mean_dbm + shift + rng.uniform(-1.0, 1.0), 1});
+    }
+  }
+  for (int k = 0; k < 2; ++k) {
+    const std::string b = drift_bssid(
+        static_cast<int>(rng.uniform_int(0, span + 4)));
+    if (tp.find(b) == nullptr) {
+      scans[0].samples.push_back({b, rng.uniform(-90.0, -40.0), 1});
+    }
+  }
+  return core::Observation::from_scans(scans);
+}
+
+// DriftMonitor keeps one state per trained pair, aligned with the
+// compiled CSR. Randomized observe -> delta -> rebase sequences must
+// give the dense reference's report, field for field and bit for bit,
+// across universe growth (new BSSIDs) and shrink (a BSSID's last
+// occurrence resurveyed away), appended rows, resurveys with moved
+// means and upserts whose means are unchanged.
+TEST(DriftMonitor, RebaseMatchesDenseReferenceOnRandomizedSequences) {
+  DriftConfig config;
+  config.min_updates = 2;
+  config.drift_threshold_db = 4.0;
+  config.vanish_visibility = 0.6;
+  config.stale_after = 24;
+  std::size_t carried_flags = 0;
+  std::size_t stale = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    stats::Rng rng(9100 + seed);
+    int span = 24;
+    std::vector<traindb::TrainingPoint> points;
+    for (int p = 0; p < 14; ++p) {
+      points.push_back(drift_point(rng, "d" + std::to_string(p), span, 0.35));
+    }
+    auto db = core::CompiledDatabase::compile_owned(
+        traindb::TrainingDatabase::from_points(points, "drift"));
+    DriftMonitor monitor(db, config);
+    DenseDriftReference reference(db, config);
+    int appended = 0;
+    for (int round = 0; round < 6; ++round) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " round " + std::to_string(round);
+      for (int k = 0; k < 40; ++k) {
+        const std::size_t p = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(db->point_count()) - 1));
+        const core::Observation obs =
+            drift_observation(rng, db->point(p), span);
+        monitor.observe(p, obs);
+        reference.observe(p, obs);
+      }
+      expect_same_report(monitor.report(), reference.report(), where);
+
+      core::DatabaseDelta delta;
+      const auto& current = db->database().points();
+      auto pick = [&] {
+        return current[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(current.size()) - 1))];
+      };
+      // Unchanged means (a re-submitted row, one AP dropped).
+      traindb::TrainingPoint same = pick();
+      if (same.per_ap.size() > 1) same.per_ap.pop_back();
+      delta.upserts.push_back(same);
+      // A resurvey: means move, one new BSSID joins the universe.
+      traindb::TrainingPoint moved = pick();
+      for (traindb::ApStatistics& s : moved.per_ap) {
+        if (rng.bernoulli(0.5)) s.mean_dbm += 3.0;
+      }
+      moved.per_ap.push_back(drift_stat(span++, -60.0));
+      delta.upserts.push_back(moved);
+      // An appended row.
+      delta.upserts.push_back(drift_point(
+          rng, "annex" + std::to_string(appended++), span, 0.35));
+      // Shrink: one trained BSSID leaves every upsert and every other
+      // row that trains it.
+      const auto& names = db->database().bssid_universe();
+      const std::string gone = names[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(names.size()) - 1))];
+      auto drop_gone = [&](traindb::TrainingPoint& tp) {
+        std::erase_if(tp.per_ap, [&](const traindb::ApStatistics& s) {
+          return s.bssid == gone;
+        });
+      };
+      for (traindb::TrainingPoint& up : delta.upserts) drop_gone(up);
+      for (const traindb::TrainingPoint& tp : current) {
+        const bool upserted = std::any_of(
+            delta.upserts.begin(), delta.upserts.end(),
+            [&](const traindb::TrainingPoint& up) {
+              return up.location == tp.location;
+            });
+        if (upserted || tp.find(gone) == nullptr) continue;
+        traindb::TrainingPoint cut = tp;
+        drop_gone(cut);
+        delta.upserts.push_back(std::move(cut));
+      }
+
+      db = db->delta_compile(delta);
+      ASSERT_FALSE(db->slot_of(gone).has_value()) << where;
+      monitor.rebase(db);
+      reference.rebase(db);
+      const DriftReport after = monitor.report();
+      expect_same_report(after, reference.report(), where + " after rebase");
+      carried_flags += after.drifted.size();
+      stale += after.stale_points.size();
+    }
+  }
+  // The sequences exercise what they claim: flags survive rebases and
+  // rows go stale.
+  EXPECT_GT(carried_flags, 0u);
+  EXPECT_GT(stale, 0u);
 }
 
 // --------------------------------------------------------------- intake

@@ -285,12 +285,17 @@ void expect_same_compilation(const core::CompiledDatabase& a,
   ASSERT_EQ(a.point_count(), b.point_count());
   ASSERT_EQ(a.universe_size(), b.universe_size());
   EXPECT_EQ(encode_database(a.database()), encode_database(b.database()));
-  const std::size_t row = a.universe_size() * sizeof(double);
+  EXPECT_EQ(a.row_offsets(), b.row_offsets());
+  ASSERT_EQ(a.pairs().size(), b.pairs().size());
+  for (std::size_t i = 0; i < a.pairs().size(); ++i) {
+    const core::TrainedPair& x = a.pairs()[i];
+    const core::TrainedPair& y = b.pairs()[i];
+    EXPECT_EQ(x.slot, y.slot);
+    EXPECT_EQ(std::memcmp(&x.mean_dbm, &y.mean_dbm, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&x.stddev_db, &y.stddev_db, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&x.weight, &y.weight, sizeof(double)), 0);
+  }
   for (std::size_t p = 0; p < a.point_count(); ++p) {
-    EXPECT_EQ(std::memcmp(a.mean_row(p), b.mean_row(p), row), 0);
-    EXPECT_EQ(std::memcmp(a.stddev_row(p), b.stddev_row(p), row), 0);
-    EXPECT_EQ(std::memcmp(a.mask_row(p), b.mask_row(p), row), 0);
-    EXPECT_EQ(std::memcmp(a.weight_row(p), b.weight_row(p), row), 0);
     EXPECT_EQ(a.trained_count(p), b.trained_count(p));
   }
 }
