@@ -6,7 +6,9 @@
 // floor selection folds six per-floor locators per fix, and compiling
 // a 1000-slot universe is the unit of work every snapshot swap pays.
 // The window benches slide a device's scans through the serve window
-// at campus density (about 79 APs per eight-scan window). The
+// at campus density (about 79 APs per eight-scan window), and the serve
+// benches run the whole per-scan LocationService::on_scan over it,
+// with and without republishes between scans. The
 // republish benches take one 8-row resurvey delta (the batch the
 // serving benchmark's janitor republishes) through each stage of the
 // lifecycle re-publish, against the from-scratch rebuild it avoids.
@@ -134,15 +136,17 @@ void BM_CampusCompileDatabase(benchmark::State& state) {
 BENCHMARK(BM_CampusCompileDatabase)->Unit(benchmark::kMillisecond);
 
 // A resurvey of 8 rooms spread over the campus: each row's means move
-// +1 dB, and the first room also hears one new BSSID, so the universe
-// grows by a slot and every later slot renumbers.
-core::DatabaseDelta resurvey_delta(const traindb::TrainingDatabase& db) {
+// +1 dB, and (unless `same_universe`) the first room also hears one new
+// BSSID, so the universe grows by a slot and every later slot
+// renumbers.
+core::DatabaseDelta resurvey_delta(const traindb::TrainingDatabase& db,
+                                   bool same_universe = false) {
   constexpr std::size_t kRows = 8;
   core::DatabaseDelta delta;
   for (std::size_t i = 0; i < kRows; ++i) {
     traindb::TrainingPoint tp = db.points()[i * db.size() / kRows];
     for (traindb::ApStatistics& s : tp.per_ap) s.mean_dbm += 1.0;
-    if (i == 0) {
+    if (i == 0 && !same_universe) {
       traindb::ApStatistics fresh = tp.per_ap.front();
       fresh.bssid = "00:00:00:00:00:00";
       tp.per_ap.push_back(fresh);
@@ -236,6 +240,53 @@ void BM_Window_Slide(benchmark::State& state) {
                           core::LocationServiceConfig{}.window_scans);
 }
 BENCHMARK(BM_Window_Slide)->Unit(benchmark::kMicrosecond);
+
+// One served campus scan: LocationService::on_scan in the snapshot
+// form the server calls (window slide, slot query, score, Kalman step)
+// over the campus walk, against one published map. Compare with
+// BM_CampusLocate, the score alone.
+void BM_CampusServeScan(benchmark::State& state) {
+  const CampusCorpus& c = campus();
+  const core::ProbabilisticLocator locator(c.scenario.database());
+  core::LocationService service{core::LocationServiceConfig{}};
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        service.on_scan(locator, c.walk[i++ % c.walk.size()]));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["aps"] = bench::mean_window_aps(
+      c.walk, core::LocationServiceConfig{}.window_scans);
+}
+BENCHMARK(BM_CampusServeScan)->Unit(benchmark::kMicrosecond);
+
+// The same scans with the site republished every 2 scans, as a janitor
+// publishing resurveys of known APs does: each republish is a
+// same-universe delta, so it keeps the universe id and every session's
+// cached slots stay valid. CI fails when this costs more than 1.25x
+// BM_CampusServeScan: a slot cache keyed by the map instead of the
+// universe re-resolves the whole window after every swap.
+void BM_CampusServeScan_Republished(benchmark::State& state) {
+  const CampusCorpus& c = campus();
+  const auto base = core::CompiledDatabase::compile(c.scenario.database());
+  const core::ProbabilisticLocator maps[] = {
+      core::ProbabilisticLocator(base),
+      core::ProbabilisticLocator(base->delta_compile(
+          resurvey_delta(c.scenario.database(), /*same_universe=*/true)))};
+  if (maps[0].compiled().universe_id() != maps[1].compiled().universe_id()) {
+    state.SkipWithError("the same-universe republish changed the universe");
+    return;
+  }
+  core::LocationService service{core::LocationServiceConfig{}};
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const core::ProbabilisticLocator& published = maps[(i / 2) % 2];
+    benchmark::DoNotOptimize(
+        service.on_scan(published, c.walk[i++ % c.walk.size()]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CampusServeScan_Republished)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

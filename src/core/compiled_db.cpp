@@ -1,6 +1,7 @@
 #include "core/compiled_db.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -29,6 +30,29 @@ void append_row(const traindb::TrainingPoint& tp,
   }
 }
 
+std::uint64_t next_universe_id() {
+  static std::atomic<std::uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+/// The merge both query forms run: walks `obs`'s BSSID-sorted APs
+/// against the sorted universe, calling `in(slot, ap)` for each AP the
+/// universe knows and `out()` for each it does not.
+template <class In, class Out>
+void merge_with_universe(const Observation& obs,
+                         const std::vector<std::string>& universe, In&& in,
+                         Out&& out) {
+  std::size_t j = 0;
+  for (const ObservedAp& ap : obs.aps()) {
+    while (j < universe.size() && universe[j] < ap.bssid) ++j;
+    if (j < universe.size() && universe[j] == ap.bssid) {
+      in(static_cast<std::uint32_t>(j++), ap);
+    } else {
+      out();
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<std::uint32_t> remap_slots(const std::vector<std::string>& from,
@@ -44,23 +68,26 @@ std::vector<std::uint32_t> remap_slots(const std::vector<std::string>& from,
 }
 
 CompiledDatabase::CompiledDatabase(const traindb::TrainingDatabase& db)
-    : db_(&db) {
+    : db_(&db), universe_id_(next_universe_id()) {
   build_rows();
 }
 
 CompiledDatabase::CompiledDatabase(traindb::TrainingDatabase&& db)
     : owned_(std::make_shared<const traindb::TrainingDatabase>(
           std::move(db))),
-      db_(owned_.get()) {
+      db_(owned_.get()),
+      universe_id_(next_universe_id()) {
   build_rows();
 }
 
 CompiledDatabase::CompiledDatabase(traindb::TrainingDatabase&& merged,
                                    std::vector<std::uint32_t> row_offsets,
-                                   std::vector<TrainedPair> pairs)
+                                   std::vector<TrainedPair> pairs,
+                                   std::uint64_t universe_id)
     : owned_(std::make_shared<const traindb::TrainingDatabase>(
           std::move(merged))),
       db_(owned_.get()),
+      universe_id_(universe_id),
       row_offsets_(std::move(row_offsets)),
       pairs_(std::move(pairs)) {
   set_shape();
@@ -145,6 +172,7 @@ std::shared_ptr<const CompiledDatabase> CompiledDatabase::delta_compile(
   std::vector<std::string> universe;
   universe.reserve(universe_ + added.size());
   std::vector<std::uint32_t> new_slot(universe_, kNoSlot);
+  bool same_universe = added.empty();
   for (std::size_t u = 0, a = 0; u < universe_ || a < added.size();) {
     if (u == universe_ || (a < added.size() && added[a] < old_universe[u])) {
       universe.push_back(std::move(added[a++]));
@@ -153,6 +181,8 @@ std::shared_ptr<const CompiledDatabase> CompiledDatabase::delta_compile(
     if (rows_on[u] != 0) {
       new_slot[u] = static_cast<std::uint32_t>(universe.size());
       universe.push_back(old_universe[u]);
+    } else {
+      same_universe = false;
     }
     ++u;
   }
@@ -180,7 +210,8 @@ std::shared_ptr<const CompiledDatabase> CompiledDatabase::delta_compile(
   return std::shared_ptr<const CompiledDatabase>(new CompiledDatabase(
       traindb::TrainingDatabase::from_sorted_parts(
           std::move(points), std::move(universe), db_->site_name()),
-      std::move(offsets), std::move(pairs)));
+      std::move(offsets), std::move(pairs),
+      same_universe ? universe_id_ : next_universe_id()));
 }
 
 std::optional<std::uint32_t> CompiledDatabase::slot_of(
@@ -193,38 +224,34 @@ std::optional<std::uint32_t> CompiledDatabase::slot_of(
 CompiledObservation CompiledDatabase::compile_observation(
     const Observation& obs) const {
   CompiledObservation q;
-  compile_observation_into(obs, &q);
-  return q;
-}
-
-void CompiledDatabase::compile_observation_into(
-    const Observation& obs, CompiledObservation* out) const {
-  CompiledObservation& q = *out;
   // Padded to the row stride so the kernels' aligned loads cover the
   // query vectors too; pad cells stay 0.0 / not-present.
   q.mean_dbm.assign(stride_, 0.0);
   q.present.assign(stride_, 0.0);
-  q.outside_universe = 0;
   q.total_aps = obs.ap_count();
-  q.slots.clear();
-  q.slot_aps.clear();
   q.slots.reserve(obs.ap_count());
   q.slot_aps.reserve(obs.ap_count());
+  merge_with_universe(
+      obs, db_->bssid_universe(),
+      [&q](std::uint32_t slot, const ObservedAp& ap) {
+        q.mean_dbm[slot] = ap.mean_dbm;
+        q.present[slot] = 1.0;
+        q.slots.push_back(slot);
+        q.slot_aps.push_back(&ap);
+      },
+      [&q] { ++q.outside_universe; });
+  return q;
+}
 
-  const auto& universe = db_->bssid_universe();
-  std::size_t j = 0;
-  for (const ObservedAp& ap : obs.aps()) {
-    while (j < universe_ && universe[j] < ap.bssid) ++j;
-    if (j < universe_ && universe[j] == ap.bssid) {
-      q.mean_dbm[j] = ap.mean_dbm;
-      q.present[j] = 1.0;
-      q.slots.push_back(static_cast<std::uint32_t>(j));
-      q.slot_aps.push_back(&ap);
-      ++j;
-    } else {
-      ++q.outside_universe;
-    }
-  }
+void CompiledDatabase::lower_observation(const Observation& obs,
+                                         std::vector<SlotMean>* out) const {
+  out->clear();
+  merge_with_universe(
+      obs, db_->bssid_universe(),
+      [out](std::uint32_t slot, const ObservedAp& ap) {
+        out->push_back({slot, ap.mean_dbm});
+      },
+      [] {});
 }
 
 std::shared_ptr<const CompiledDatabase> compile_collection(

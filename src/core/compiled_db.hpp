@@ -36,11 +36,20 @@
 
 namespace loctk::core {
 
-/// An Observation lowered onto a compiled universe: dense mean vector,
-/// presence mask, and the list of occupied slots. Produced by
-/// `CompiledDatabase::compile`; valid only against the database that
-/// compiled it, and only while the source Observation is alive (it
-/// keeps per-slot pointers for sample-level scoring).
+/// One observed AP on a compiled universe: its slot and mean. The
+/// probabilistic scorer's query is these pairs in ascending slot
+/// order, one per AP the universe knows.
+struct SlotMean {
+  std::uint32_t slot = 0;
+  double mean_dbm = 0.0;
+};
+
+/// An Observation lowered onto a compiled universe for the locators
+/// that read it densely: a mean vector and presence mask (k-NN and SSD
+/// load them), plus the list of occupied slots. Produced by
+/// `CompiledDatabase::compile_observation`; valid only against the
+/// database that compiled it, and only while the source Observation is
+/// alive (it keeps per-slot pointers for sample-level scoring).
 struct CompiledObservation {
   /// Mean dBm per universe slot; 0.0 where the AP was not heard (the
   /// presence mask gates every use, so the fill value never leaks).
@@ -134,11 +143,19 @@ class CompiledDatabase {
   /// interned; the universe is the old one merged with their BSSIDs
   /// and unchanged rows' runs are copied under the monotonic old-slot
   /// → new-slot remap, so the cost is O(change + universe + trained
-  /// pairs copied), with one copy of the string-keyed points.
+  /// pairs copied), with one copy of the string-keyed points. When no
+  /// BSSID joins or leaves, the result keeps this map's `universe_id()`.
   std::shared_ptr<const CompiledDatabase> delta_compile(
       const DatabaseDelta& delta) const;
 
   const traindb::TrainingDatabase& database() const { return *db_; }
+  /// Process-unique id of this map's BSSID universe: equal ids mean the
+  /// same sorted universe, so a slot resolved against one map holds in
+  /// the other. Ids come from a process-wide counter and are never
+  /// reused, so a map freed and another built at its address still
+  /// differ. Every compile takes a fresh id; `delta_compile` keeps its
+  /// parent's when the merged universe neither gains nor loses a BSSID.
+  std::uint64_t universe_id() const { return universe_id_; }
   std::size_t point_count() const { return points_; }
   std::size_t universe_size() const { return universe_; }
   /// Doubles per dense row: `universe_size()` rounded up to a multiple
@@ -154,11 +171,11 @@ class CompiledDatabase {
   /// Lowers an observation onto this universe in one sorted merge.
   CompiledObservation compile_observation(const Observation& obs) const;
 
-  /// compile_observation into an existing object, reusing its buffer
-  /// capacity — the batched locate path compiles thousands of queries
-  /// through per-thread scratch without touching the allocator.
-  void compile_observation_into(const Observation& obs,
-                                CompiledObservation* out) const;
+  /// The scorer's query: `obs`'s in-universe APs as (slot, mean) pairs
+  /// in ascending slot order, by the same merge and with no dense
+  /// fill. Reuses `out`'s capacity.
+  void lower_observation(const Observation& obs,
+                         std::vector<SlotMean>* out) const;
 
   /// The trained pairs of `point`, ascending by slot.
   std::span<const TrainedPair> row(std::size_t point) const {
@@ -194,7 +211,8 @@ class CompiledDatabase {
   /// Used only by delta_compile.
   CompiledDatabase(traindb::TrainingDatabase&& merged,
                    std::vector<std::uint32_t> row_offsets,
-                   std::vector<TrainedPair> pairs);
+                   std::vector<TrainedPair> pairs,
+                   std::uint64_t universe_id);
 
   void build_rows();
   void set_shape();
@@ -202,6 +220,7 @@ class CompiledDatabase {
   /// Set only by the owning constructors; db_ then points into it.
   std::shared_ptr<const traindb::TrainingDatabase> owned_;
   const traindb::TrainingDatabase* db_;  // non-owning
+  std::uint64_t universe_id_;
   std::size_t points_ = 0;
   std::size_t universe_ = 0;
   /// Padded dense stride (simd::padded_stride(universe_)).

@@ -117,8 +117,7 @@ ServiceFix LocationService::on_scan(const Locator& locator,
     return fix_;
   }
 
-  const Result<LocationEstimate> result =
-      locator.try_locate(window_.observation());
+  const Result<LocationEstimate> result = locator.try_locate(window_);
   const LocationEstimate est =
       result.ok() ? result.value() : LocationEstimate{};
 

@@ -2,6 +2,7 @@
 
 #include "base/metrics.hpp"
 #include "concurrency/parallel_for.hpp"
+#include "core/scan_window.hpp"
 
 namespace loctk::core {
 
@@ -37,29 +38,32 @@ metrics::Counter& batch_observations() {
   return c;
 }
 
-}  // namespace
-
-Result<LocationEstimate> Locator::try_locate(const Observation& obs) const {
+/// The try_locate contract over either query form: typed errors for
+/// an empty or non-finite observation, for an algorithm that throws
+/// and for one with no answer, each counted.
+template <class Locate>
+Result<LocationEstimate> checked_locate(const Locator& locator, bool empty,
+                                        bool finite, Locate&& locate) {
   locate_calls().increment();
   metrics::ScopedTimer timer(locate_latency());
-  if (obs.empty()) {
+  if (empty) {
     locate_degenerate().increment();
     return Error(ErrorCode::kDegenerate, "empty observation")
-        .with_context("locating with " + name());
+        .with_context("locating with " + locator.name());
   }
-  if (!obs.is_finite()) {
+  if (!finite) {
     locate_degenerate().increment();
     return Error(ErrorCode::kDegenerate,
                  "observation contains non-finite dBm values")
-        .with_context("locating with " + name());
+        .with_context("locating with " + locator.name());
   }
   LocationEstimate est;
   try {
-    est = locate(obs);
+    est = locate();
   } catch (const std::exception& e) {
     locate_errors().increment();
     return Error(ErrorCode::kInternal, e.what())
-        .with_context("locating with " + name());
+        .with_context("locating with " + locator.name());
   }
   if (!est.valid) {
     // The observation was well-formed but the algorithm has no
@@ -69,9 +73,25 @@ Result<LocationEstimate> Locator::try_locate(const Observation& obs) const {
     return Error(ErrorCode::kDegenerate,
                  "no usable estimate (observation shares too little "
                  "with the training data)")
-        .with_context("locating with " + name());
+        .with_context("locating with " + locator.name());
   }
   return est;
+}
+
+}  // namespace
+
+Result<LocationEstimate> Locator::try_locate(const Observation& obs) const {
+  return checked_locate(*this, obs.empty(), obs.is_finite(),
+                        [&] { return locate(obs); });
+}
+
+Result<LocationEstimate> Locator::try_locate(ScanWindow& window) const {
+  return checked_locate(*this, window.ap_count() == 0, window.is_finite(),
+                        [&] { return locate_window(window); });
+}
+
+LocationEstimate Locator::locate_window(ScanWindow& window) const {
+  return locate(window.observation());
 }
 
 std::vector<LocationEstimate> Locator::locate_batch(

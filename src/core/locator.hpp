@@ -27,6 +27,8 @@ class ThreadPool;
 
 namespace loctk::core {
 
+class ScanWindow;
+
 /// Result of a locate() call.
 struct LocationEstimate {
   /// True when the locator produced any answer at all; the fields
@@ -68,6 +70,13 @@ class Locator {
   /// degraded-mode contract for free.
   Result<LocationEstimate> try_locate(const Observation& obs) const;
 
+  /// try_locate of a serve window's observation, the live service's
+  /// per-scan call: the same answer, error and counters as
+  /// `try_locate(window.observation())`. It goes through
+  /// `locate_window`, so a locator can score the window's cached slot
+  /// query instead of lowering the observation again.
+  Result<LocationEstimate> try_locate(ScanWindow& window) const;
+
   /// Scores a batch of independent observations (many concurrent
   /// clients, or a replayed capture). With a pool, the batch is
   /// chunked across its workers via `concurrency::parallel_for`;
@@ -81,6 +90,11 @@ class Locator {
 
   /// Short algorithm name for reports ("probabilistic-ml", ...).
   virtual std::string name() const = 0;
+
+ protected:
+  /// locate() of a non-empty window's observation; by default exactly
+  /// `locate(window.observation())`.
+  virtual LocationEstimate locate_window(ScanWindow& window) const;
 };
 
 }  // namespace loctk::core

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "base/metrics.hpp"
+#include "core/scan_window.hpp"
 #include "stats/gaussian.hpp"
 
 namespace loctk::core {
@@ -33,7 +34,7 @@ constexpr std::size_t kLanes = 4;
 /// The scorer's per-thread scratch, reused across queries so a
 /// steady-state locate never touches the allocator.
 struct ScoreScratch {
-  CompiledObservation query;
+  std::vector<SlotMean> query;
   std::vector<double> gauss;          // points x kLanes
   std::vector<std::uint32_t> common;  // points
 };
@@ -154,12 +155,11 @@ double ProbabilisticLocator::log_likelihood(
 }
 
 template <class Visit>
-bool ProbabilisticLocator::score_rows(const Observation& obs,
+bool ProbabilisticLocator::score_rows(std::span<const SlotMean> query,
+                                      std::size_t observed,
                                       Visit&& visit) const {
   const std::size_t points = compiled_->point_count();
   ScoreScratch& s = score_scratch();
-  compiled_->compile_observation_into(obs, &s.query);
-  const CompiledObservation& q = s.query;
   s.gauss.assign(points * kLanes, 0.0);
   s.common.assign(points, 0);
 
@@ -167,12 +167,12 @@ bool ProbabilisticLocator::score_rows(const Observation& obs,
   double* gauss = s.gauss.data();
   std::uint32_t* common = s.common.data();
   const Posting* postings = postings_.data();
-  for (const std::uint32_t slot : q.slots) {
-    const double x = q.mean_dbm[slot];
+  for (const SlotMean& q : query) {
+    const double x = q.mean_dbm;
     if (!std::isfinite(x)) return false;
-    double* lane = gauss + slot % kLanes;
-    const Posting* end = postings + offsets_[slot + 1];
-    for (const Posting* cell = postings + offsets_[slot]; cell != end;
+    double* lane = gauss + q.slot % kLanes;
+    const Posting* end = postings + offsets_[q.slot + 1];
+    for (const Posting* cell = postings + offsets_[q.slot]; cell != end;
          ++cell) {
       const double d = x - cell->mean;
       lane[cell->row * kLanes] += cell->log_norm - d * d * cell->inv_two_var;
@@ -183,13 +183,13 @@ bool ProbabilisticLocator::score_rows(const Observation& obs,
   // Epilogue over every row, so zero-overlap rows still get their
   // penalties (and min_common_aps = 0 can let them win). Penalties =
   // trained-only + observed-only (inside or outside the universe).
-  const int observed = q.in_universe() + q.outside_universe;
+  const int heard = static_cast<int>(observed);
   const double penalty = config_.missing_ap_log_penalty;
   const int min_common = config_.min_common_aps;
   for (std::size_t r = 0; r < points; ++r) {
     const double* g = gauss + r * kLanes;
     const int c = static_cast<int>(common[r]);
-    const int penalties = compiled_->trained_count(r) + observed - 2 * c;
+    const int penalties = compiled_->trained_count(r) + heard - 2 * c;
     const double ll = ((g[0] + g[2]) + (g[1] + g[3])) +
                       penalty * static_cast<double>(penalties);
     visit(r, c < min_common ? kNegInf : ll, c);
@@ -201,8 +201,10 @@ std::vector<ScoredPoint> ProbabilisticLocator::score_all(
     const Observation& obs) const {
   std::vector<ScoredPoint> scores;
   scores.reserve(compiled_->point_count());
-  const bool finite =
-      score_rows(obs, [&](std::size_t row, double ll, int common) {
+  std::vector<SlotMean>& query = score_scratch().query;
+  compiled_->lower_observation(obs, &query);
+  const bool finite = score_rows(
+      query, obs.ap_count(), [&](std::size_t row, double ll, int common) {
         scores.push_back({&compiled_->point(row), ll, common});
       });
   if (!finite) {
@@ -213,20 +215,19 @@ std::vector<ScoredPoint> ProbabilisticLocator::score_all(
   return scores;
 }
 
-LocationEstimate ProbabilisticLocator::locate(const Observation& obs) const {
-  LocationEstimate est;
-  if (obs.empty()) return est;
-
+LocationEstimate ProbabilisticLocator::best_row(
+    std::span<const SlotMean> query, std::size_t observed) const {
   std::size_t best_row = 0;
   double best_ll = kNegInf;
   int best_common = 0;
-  score_rows(obs, [&](std::size_t row, double ll, int common) {
+  score_rows(query, observed, [&](std::size_t row, double ll, int common) {
     if (ll > best_ll) {
       best_row = row;
       best_ll = ll;
       best_common = common;
     }
   });
+  LocationEstimate est;
   if (best_ll == kNegInf) return est;
   const traindb::TrainingPoint& tp = compiled_->point(best_row);
   est.valid = true;
@@ -235,6 +236,20 @@ LocationEstimate ProbabilisticLocator::locate(const Observation& obs) const {
   est.score = best_ll;
   est.aps_used = best_common;
   return est;
+}
+
+LocationEstimate ProbabilisticLocator::locate(const Observation& obs) const {
+  if (obs.empty()) return {};
+  std::vector<SlotMean>& query = score_scratch().query;
+  compiled_->lower_observation(obs, &query);
+  return best_row(query, obs.ap_count());
+}
+
+LocationEstimate ProbabilisticLocator::locate_window(ScanWindow& window) const {
+  if (window.ap_count() == 0) return {};
+  std::vector<SlotMean>& query = score_scratch().query;
+  window.query(*compiled_, &query);
+  return best_row(query, window.ap_count());
 }
 
 }  // namespace loctk::core

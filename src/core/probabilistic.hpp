@@ -15,20 +15,25 @@
 ///
 /// We evaluate the product in log space (same arg-max, no underflow)
 /// and expose the full per-point scores for the Bayes-grid and
-/// tracking layers. `score_all` and `locate` (and through it the base
-/// `locate_batch`) share one exact sparse scorer: at construction the
-/// locator stores, per universe slot, the CSR postings of the rows
-/// trained on it with their Gaussian constants, so a query walks only
-/// the observed slots' postings and closes every row with the
-/// missing-AP penalty, which is closed-form in the trained, observed
-/// and common counts. A campus map is a few percent dense, so this
-/// reads a few percent of what a dense points x universe sweep reads.
+/// tracking layers. `score_all`, `locate` (and through it the base
+/// `locate_batch`) and the serve window's `try_locate` share one exact
+/// sparse scorer: at construction the locator stores, per universe
+/// slot, the CSR postings of the rows trained on it with their
+/// Gaussian constants, so a query walks only the observed slots'
+/// postings and closes every row with the missing-AP penalty, which is
+/// closed-form in the trained, observed and common counts. A campus
+/// map is a few percent dense, so this reads a few percent of what a
+/// dense points x universe sweep reads. The query is the ascending
+/// (slot, mean) list: an Observation is lowered to it by one merge
+/// with the universe, and a serve window hands over its own, built
+/// from slots it cached when each AP entered.
 /// The per-point `log_likelihood` keeps the string-keyed form as the
 /// readable reference implementation (the equivalence is pinned by
 /// tests/core_compiled_db_test.cpp and tests/core_scoring_v2_test.cpp).
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -140,14 +145,22 @@ class ProbabilisticLocator : public Locator {
   }
   const std::vector<double>& pooled_sigmas() const { return pooled_sigma_; }
 
+ protected:
+  /// Scores the window's cached slot query (`ScanWindow::query`).
+  LocationEstimate locate_window(ScanWindow& window) const override;
+
  private:
   void build_scorer();
-  /// Scores `obs` against every row and calls `visit(row, ll, common)`
-  /// once per row in database order, `ll` already penalized and
-  /// clamped. Returns false, visiting nothing, when an in-universe AP
-  /// carries a non-finite mean.
+  /// Scores `query` (ascending slots of an observation of `observed`
+  /// APs) against every row and calls `visit(row, ll, common)` once per
+  /// row in database order, `ll` already penalized and clamped.
+  /// Returns false, visiting nothing, when a query mean is non-finite.
   template <class Visit>
-  bool score_rows(const Observation& obs, Visit&& visit) const;
+  bool score_rows(std::span<const SlotMean> query, std::size_t observed,
+                  Visit&& visit) const;
+  /// The arg-max row of score_rows as an estimate.
+  LocationEstimate best_row(std::span<const SlotMean> query,
+                            std::size_t observed) const;
 
   std::shared_ptr<const CompiledDatabase> compiled_;
   ProbabilisticConfig config_;

@@ -2,61 +2,79 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <functional>
 
 namespace loctk::core {
 
 namespace {
 
-constexpr std::uint32_t kGone = std::numeric_limits<std::uint32_t>::max();
+/// Cached slot of an AP not yet looked up in the current universe.
+constexpr std::uint32_t kUnresolved = kNoSlot - 1;
 
 }  // namespace
 
 ScanWindow::ScanWindow(std::size_t capacity)
-    : ring_(std::max<std::size_t>(1, capacity) + 1) {}
+    : filled_(std::max<std::size_t>(1, capacity) + 1, 0) {}
 
 void ScanWindow::clear() {
-  obs_.aps_.clear();
-  for (Positions& e : ring_) e.clear();
+  records_.clear();
+  free_ids_.clear();
+  order_.clear();
+  std::ranges::fill(filled_, 0);
   head_ = 0;
   fill_ = 0;
+  obs_stale_ = true;
 }
 
 std::size_t ScanWindow::push(const radio::ScanRecord& scan) {
+  obs_stale_ = true;
   std::size_t rejected = 0;
   try {
-    // A touched AP's sample_count is zeroed and restored by refresh();
-    // an AP in the window always holds at least one sample, so zero
-    // marks it stale and an AP touched by both scans is summed once.
-    Positions& fresh = ring_[(head_ + fill_) % ring_.size()];
+    const std::size_t fresh = (head_ + fill_) % filled_.size();
+    // A scan that lists its BSSIDs in ascending order without a
+    // repeat, as scanners usually do, merges into the window in one
+    // forward pass; any other is searched for sample by sample.
+    const bool in_order =
+        std::ranges::adjacent_find(scan.samples, std::greater_equal<>{},
+                                   &radio::ScanSample::bssid) ==
+        scan.samples.end();
+    std::size_t at = 0;
     for (const radio::ScanSample& s : scan.samples) {
       if (!std::isfinite(s.rssi_dbm)) {
         ++rejected;
         continue;
       }
-      const std::uint32_t pos = find_or_insert(s.bssid);
-      ObservedAp& ap = obs_.aps_[pos];
-      ap.samples_dbm.push_back(s.rssi_dbm);
-      ap.sample_count = 0;
-      fresh.push_back(pos);
+      if (!in_order) {
+        at = static_cast<std::size_t>(
+            std::ranges::lower_bound(order_, s.bssid, std::less<>{},
+                                     [this](Id id) -> const std::string& {
+                                       return records_[id].bssid;
+                                     }) -
+            order_.begin());
+      }
+      const Id id = find_or_insert(s.bssid, at);
+      if (in_order) ++at;  // the next sample sorts after this one
+      ++records_[id].held;
+      if (filled_[fresh] == segment_) grow_ring(2 * segment_ + 1);
+      const std::size_t at_ring = fresh * segment_ + filled_[fresh]++;
+      ring_ids_[at_ring] = id;
+      ring_dbm_[at_ring] = s.rssi_dbm;
     }
-    if (obs_.aps_.size() > entry_reserve_) {
-      entry_reserve_ = 2 * obs_.aps_.size();
-      for (Positions& e : ring_) e.reserve(entry_reserve_);
-      remap_.reserve(entry_reserve_);
-    }
+    if (records_.size() > segment_) grow_ring(records_.size());
     if (fill_ < capacity()) {
       ++fill_;
     } else {
-      Positions& evicted = ring_[head_];
-      evict(evicted);
-      for (const std::uint32_t pos : evicted) {
-        if (pos != kGone) refresh(pos);
-      }
-      evicted.clear();
-      head_ = (head_ + 1) % ring_.size();
+      evict();
+      head_ = (head_ + 1) % filled_.size();
     }
-    for (const std::uint32_t pos : fresh) refresh(pos);
+    // Observation::from_scans' arithmetic: each AP's readings summed
+    // in capture order, over n.
+    for (const Id id : order_) records_[id].mean_dbm = 0.0;
+    for_each_reading(
+        [this](Id id, double dbm) { records_[id].mean_dbm += dbm; });
+    for (const Id id : order_) {
+      records_[id].mean_dbm /= static_cast<double>(records_[id].held);
+    }
   } catch (...) {
     clear();
     throw;
@@ -64,57 +82,126 @@ std::size_t ScanWindow::push(const radio::ScanRecord& scan) {
   return rejected;
 }
 
-std::uint32_t ScanWindow::find_or_insert(const std::string& bssid) {
-  std::vector<ObservedAp>& aps = obs_.aps_;
-  const auto it = std::lower_bound(
-      aps.begin(), aps.end(), bssid,
-      [](const ObservedAp& a, const std::string& b) { return a.bssid < b; });
-  const auto pos = static_cast<std::uint32_t>(it - aps.begin());
-  if (it != aps.end() && it->bssid == bssid) return pos;
-  // A new AP: insert it in BSSID order and renumber the held positions.
-  ObservedAp ap;
-  ap.bssid = bssid;
-  ap.samples_dbm.reserve(capacity() + 1);
-  aps.insert(it, std::move(ap));
-  for (Positions& e : ring_) {
-    for (std::uint32_t& p : e) p += p >= pos ? 1 : 0;
+template <class Visit>
+void ScanWindow::for_each_reading(Visit&& visit) const {
+  for (std::size_t k = 0; k < fill_; ++k) {
+    const std::size_t first = (head_ + k) % filled_.size() * segment_;
+    const std::size_t last = first + filled_[(head_ + k) % filled_.size()];
+    for (std::size_t i = first; i < last; ++i) visit(ring_ids_[i], ring_dbm_[i]);
   }
-  return pos;
 }
 
-void ScanWindow::evict(Positions& oldest) {
-  // The oldest scan's samples are the front of each AP's list.
+void ScanWindow::grow_ring(std::size_t segment) {
+  std::vector<Id> ids(filled_.size() * segment);
+  std::vector<double> dbm(filled_.size() * segment);
+  for (std::size_t e = 0; e < filled_.size(); ++e) {
+    const auto from = static_cast<std::ptrdiff_t>(e * segment_);
+    const auto to = static_cast<std::ptrdiff_t>(e * segment);
+    std::copy_n(ring_ids_.begin() + from, filled_[e], ids.begin() + to);
+    std::copy_n(ring_dbm_.begin() + from, filled_[e], dbm.begin() + to);
+  }
+  free_ids_.reserve(segment);
+  order_.reserve(segment);
+  ring_ids_ = std::move(ids);
+  ring_dbm_ = std::move(dbm);
+  segment_ = segment;
+}
+
+ScanWindow::Id ScanWindow::find_or_insert(const std::string& bssid,
+                                          std::size_t& at) {
+  int order = 1;
+  while (at < order_.size() &&
+         (order = records_[order_[at]].bssid.compare(bssid)) < 0) {
+    ++at;
+  }
+  if (at < order_.size() && order == 0) return order_[at];
+
+  // A new AP, in a free record when there is one.
+  Id id = static_cast<Id>(records_.size());
+  if (free_ids_.empty()) {
+    records_.emplace_back();
+  } else {
+    id = free_ids_.back();
+    free_ids_.pop_back();
+  }
+  Record& r = records_[id];
+  r.bssid = bssid;
+  r.slot = kUnresolved;
+  order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(at), id);
+  return id;
+}
+
+void ScanWindow::evict() {
   bool emptied = false;
-  for (const std::uint32_t pos : oldest) {
-    ObservedAp& ap = obs_.aps_[pos];
-    ap.samples_dbm.erase(ap.samples_dbm.begin());
-    ap.sample_count = 0;
-    emptied = emptied || ap.samples_dbm.empty();
+  const std::size_t first = head_ * segment_;
+  for (std::size_t i = first; i < first + filled_[head_]; ++i) {
+    emptied = --records_[ring_ids_[i]].held == 0 || emptied;
   }
+  filled_[head_] = 0;
   if (!emptied) return;
-  // Drop the APs that left the window and renumber every held
-  // position; only `oldest` can name a dropped AP.
-  std::vector<ObservedAp>& aps = obs_.aps_;
-  remap_.resize(aps.size());
-  std::uint32_t kept = 0;
-  for (std::size_t i = 0; i < aps.size(); ++i) {
-    remap_[i] = aps[i].samples_dbm.empty() ? kGone : kept++;
+  // Free the records left without a reading; only the evicted scan
+  // can name one.
+  std::size_t kept = 0;
+  for (const Id id : order_) {
+    if (records_[id].held != 0) {
+      order_[kept++] = id;
+    } else {
+      free_ids_.push_back(id);
+    }
   }
-  std::erase_if(aps,
-                [](const ObservedAp& ap) { return ap.samples_dbm.empty(); });
-  for (Positions& e : ring_) {
-    for (std::uint32_t& p : e) p = remap_[p];
-  }
+  order_.resize(kept);
 }
 
-void ScanWindow::refresh(std::uint32_t pos) {
-  ObservedAp& ap = obs_.aps_[pos];
-  if (ap.sample_count != 0) return;
-  // Observation::from_scans' arithmetic: capture-order sum over n.
-  double sum = 0.0;
-  for (const double s : ap.samples_dbm) sum += s;
-  ap.sample_count = static_cast<std::uint32_t>(ap.samples_dbm.size());
-  ap.mean_dbm = sum / static_cast<double>(ap.samples_dbm.size());
+const Observation& ScanWindow::observation() const {
+  if (obs_stale_) {
+    std::vector<ObservedAp>& aps = obs_.aps_;
+    aps.resize(order_.size());
+    obs_position_.resize(records_.size());
+    for (std::size_t i = 0; i < order_.size(); ++i) {
+      const Record& r = records_[order_[i]];
+      aps[i].bssid = r.bssid;
+      aps[i].mean_dbm = r.mean_dbm;
+      aps[i].sample_count = r.held;
+      aps[i].samples_dbm.clear();
+      obs_position_[order_[i]] = static_cast<std::uint32_t>(i);
+    }
+    for_each_reading([&aps, this](Id id, double dbm) {
+      aps[obs_position_[id]].samples_dbm.push_back(dbm);
+    });
+    obs_stale_ = false;
+  }
+  return obs_;
+}
+
+bool ScanWindow::is_finite() const {
+  return std::ranges::all_of(order_, [this](Id id) {
+    return std::isfinite(records_[id].mean_dbm);
+  });
+}
+
+void ScanWindow::query(const CompiledDatabase& db,
+                       std::vector<SlotMean>* out) {
+  if (db.universe_id() != universe_id_) {
+    for (Record& r : records_) r.slot = kUnresolved;
+    universe_id_ = db.universe_id();
+  }
+  // Both sides are BSSID-sorted, so an AP's slot lies past the
+  // previous AP's: each lookup searches only the rest of the universe.
+  const std::vector<std::string>& universe = db.database().bssid_universe();
+  auto from = universe.begin();
+  out->clear();
+  for (const Id id : order_) {
+    Record& r = records_[id];
+    if (r.slot == kUnresolved) {
+      const auto it = std::lower_bound(from, universe.end(), r.bssid);
+      r.slot = it != universe.end() && *it == r.bssid
+                   ? static_cast<std::uint32_t>(it - universe.begin())
+                   : kNoSlot;
+    }
+    if (r.slot == kNoSlot) continue;
+    out->push_back({r.slot, r.mean_dbm});
+    from = universe.begin() + r.slot + 1;
+  }
 }
 
 }  // namespace loctk::core

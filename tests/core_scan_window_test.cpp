@@ -1,22 +1,27 @@
 // Unit tests for the serve path's sliding scan window: after every
 // scan its observation must equal `Observation::from_scans` over the
-// finite-filtered scans it holds, and a scan of APs already in the
-// window must slide it without touching the heap.
+// finite-filtered scans it holds, its slot query must equal the
+// lowered observation on whatever map it is scored against, and a scan
+// of APs already in the window must be served without touching the
+// heap.
 
 #include "core/scan_window.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <limits>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/compiled_db.hpp"
 #include "core/evaluation.hpp"
 #include "core/location_service.hpp"
 #include "core/pipeline.hpp"
@@ -300,6 +305,126 @@ TEST(ScanWindow, ServiceFixesMatchTheFromScansOracle) {
   }
 }
 
+// An office map and its republishes, each scored through the window's
+// slot cache: a resurvey that keeps the universe, one that adds a
+// BSSID sorting before all others (every slot shifts up), one that
+// drops it again (every slot shifts back), and a from-scratch compile
+// of another survey.
+struct Republishes {
+  Republishes()
+      : testbed(radio::make_office_floor(6), {}, fractional_channel()) {
+    const wiscan::LocationMap grid =
+        make_training_grid(testbed.environment().footprint(), 20.0);
+    const auto base = CompiledDatabase::compile_owned(testbed.train(grid, 8, 5));
+
+    DatabaseDelta same;
+    same.upserts.push_back(base->point(0));
+    for (traindb::ApStatistics& s : same.upserts[0].per_ap) s.mean_dbm += 1.0;
+    const auto kept = base->delta_compile(same);
+
+    DatabaseDelta grow;
+    grow.upserts.push_back(kept->point(1));
+    traindb::ApStatistics first = grow.upserts[0].per_ap.front();
+    first.bssid = kFirst;
+    grow.upserts[0].per_ap.push_back(first);
+    const auto grown = kept->delta_compile(grow);
+
+    DatabaseDelta shrink;
+    shrink.upserts.push_back(kept->point(1));
+    const auto shrunk = grown->delta_compile(shrink);
+
+    const auto other = CompiledDatabase::compile_owned(testbed.train(
+        make_training_grid(testbed.environment().footprint(), 15.0), 6, 9));
+
+    for (const auto& map : {base, kept, grown, shrunk, other}) {
+      locators.push_back(std::make_shared<const ProbabilisticLocator>(map));
+    }
+  }
+
+  static radio::ChannelConfig fractional_channel() {
+    radio::ChannelConfig channel;
+    channel.quantize_dbm = false;
+    return channel;
+  }
+
+  const CompiledDatabase& map(std::size_t i) const {
+    return locators[i]->compiled();
+  }
+
+  /// A BSSID that sorts before every office AP; the scans hear it, so
+  /// it is outside the universe until `grow` trains it.
+  static constexpr const char* kFirst = "00:00:00:00:00:00";
+
+  Testbed testbed;
+  std::vector<std::shared_ptr<const ProbabilisticLocator>> locators;
+};
+
+TEST(ScanWindow, UniverseIdIsKeptOnlyWhenTheUniverseIs) {
+  const Republishes r;
+  EXPECT_EQ(r.map(1).universe_id(), r.map(0).universe_id());
+  EXPECT_EQ(r.map(1).database().bssid_universe(),
+            r.map(0).database().bssid_universe());
+  EXPECT_NE(r.map(2).universe_id(), r.map(1).universe_id());
+  EXPECT_EQ(r.map(2).slot_of(Republishes::kFirst), 0u);
+  EXPECT_NE(r.map(3).universe_id(), r.map(2).universe_id());
+  EXPECT_EQ(r.map(3).database().bssid_universe(),
+            r.map(1).database().bssid_universe());
+  // Equal universes reached by different paths still differ in id:
+  // the id names a compile lineage, never a string comparison.
+  EXPECT_NE(r.map(3).universe_id(), r.map(1).universe_id());
+  EXPECT_NE(r.map(4).universe_id(), r.map(0).universe_id());
+  EXPECT_NE(CompiledDatabase::compile(r.map(0).database())->universe_id(),
+            r.map(0).universe_id());
+}
+
+// The window scored against the maps in turn, switching every few
+// scans and coming back to earlier ones: its slot query must equal the
+// lowered observation bit for bit after every scan, and try_locate on
+// the window must give what try_locate on its observation gives.
+TEST(ScanWindow, SlotQueryFollowsTheUniverseItIsScoredIn) {
+  const Republishes r;
+  stats::Rng rng(1717);
+  radio::Scanner scanner = r.testbed.make_scanner(3);
+  ScanWindow window(8);
+  std::vector<SlotMean> query;
+  std::vector<SlotMean> lowered;
+  for (std::size_t t = 0; t < 300; ++t) {
+    const double f = static_cast<double>(t % 100) / 100.0;
+    radio::ScanRecord scan = scanner.scan_at({10.0 + 100.0 * f, 40.0});
+    if (rng.bernoulli(0.7)) {
+      scan.samples.push_back({Republishes::kFirst, -70.0 + f, 1});
+    }
+    if (rng.bernoulli(0.5)) scan.samples.push_back({"zz:unknown", -80.0, 1});
+    roughen(rng, scan);
+    window.push(scan);
+
+    const ProbabilisticLocator& locator =
+        *r.locators[(t / 7 + t / 50) % r.locators.size()];
+    const CompiledDatabase& map = locator.compiled();
+    window.query(map, &query);
+    map.lower_observation(window.observation(), &lowered);
+    ASSERT_EQ(query.size(), lowered.size()) << "scan " << t;
+    for (std::size_t i = 0; i < query.size(); ++i) {
+      ASSERT_EQ(query[i].slot, lowered[i].slot) << "scan " << t;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(query[i].mean_dbm),
+                std::bit_cast<std::uint64_t>(lowered[i].mean_dbm));
+    }
+
+    const Result<LocationEstimate> got = locator.try_locate(window);
+    const Result<LocationEstimate> want =
+        locator.try_locate(window.observation());
+    ASSERT_EQ(got.ok(), want.ok()) << "scan " << t;
+    if (!want.ok()) {
+      EXPECT_EQ(got.error().to_string(), want.error().to_string());
+      continue;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.value().score),
+              std::bit_cast<std::uint64_t>(want.value().score));
+    EXPECT_EQ(got.value().location_name, want.value().location_name);
+    EXPECT_EQ(got.value().aps_used, want.value().aps_used);
+  }
+}
+
 // Once every BSSID of a scan is in the window, pushing it only moves
 // numbers: the window's strings, sample lists and ring entries already
 // have the room. The old path copied the scan (a string per sample)
@@ -344,6 +469,47 @@ TEST(ScanWindow, PushOfKnownApsDoesNotAllocate) {
   const AllocationScope scope;
   (void)Observation::from_scans(tail);
   EXPECT_GT(scope.count(), 0u);
+}
+
+// The same for a whole steady-state LocationService::on_scan: the
+// slide, the slot query, the score, the Kalman step and the returned
+// fix, with the site's map republished (same universe) every few
+// scans. The office's location names fit a string's inline buffer, so
+// copying the winning name into the estimate and the fix allocates
+// nothing either.
+TEST(ScanWindow, SteadyStateOnScanDoesNotAllocate) {
+  const Republishes r;
+  ASSERT_EQ(r.map(0).universe_id(), r.map(1).universe_id());
+  radio::Scanner scanner = r.testbed.make_scanner(21);
+  LocationService service{LocationServiceConfig{}};
+  ScanWindow shadow(service.config().window_scans);
+  std::size_t checked = 0;
+  for (std::size_t t = 0; t < 400; ++t) {
+    const double f = static_cast<double>(t) / 400.0;
+    const radio::ScanRecord scan =
+        scanner.scan_at({20.0 + 60.0 * f, 30.0 + 10.0 * f});
+    const ProbabilisticLocator& locator = *r.locators[(t / 5) % 2];
+    bool known = shadow.size() == shadow.capacity();
+    for (const radio::ScanSample& s : scan.samples) {
+      known = known && shadow.observation().find(s.bssid) != nullptr;
+    }
+    shadow.push(scan);
+    if (!known) {
+      service.on_scan(locator, scan);
+      continue;
+    }
+    std::size_t allocations = 0;
+    ServiceFix fix;
+    {
+      const AllocationScope scope;
+      fix = service.on_scan(locator, scan);
+      allocations = scope.count();
+    }
+    ASSERT_TRUE(fix.valid && !fix.degraded()) << "scan " << t;
+    EXPECT_EQ(allocations, 0u) << "scan " << t;
+    ++checked;
+  }
+  EXPECT_GT(checked, 200u);
 }
 
 TEST(ScanWindow, FailedAllocationLeavesAnEmptyWindow) {

@@ -3,12 +3,16 @@
 // equivalence with a standalone LocationService, and the swap
 // edge cases the design document calls out: sessions surviving a hot
 // swap, a swap landing while a reader is mid-locate_batch, double-swap
-// inside one epoch, swapping to an empty/degenerate database, and an
-// 8-thread swap-storm meant to run under TSan.
+// inside one epoch, swapping to an empty/degenerate database, a
+// session's cached universe slots across republishes that keep, shift
+// and shrink the universe, and an 8-thread swap-storm meant to run
+// under TSan.
 
 #include "serve/location_server.hpp"
 
 #include <atomic>
+#include <bit>
+#include <deque>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -18,9 +22,12 @@
 
 #include "base/metrics.hpp"
 #include "core/compiled_db.hpp"
+#include "core/evaluation.hpp"
 #include "core/location_service.hpp"
+#include "core/pipeline.hpp"
 #include "core/probabilistic.hpp"
 #include "test_fixtures.hpp"
+#include "radio/environment.hpp"
 #include "traindb/database.hpp"
 
 namespace loctk::serve {
@@ -152,6 +159,94 @@ TEST(LocationServer, SessionsSurviveHotSwap) {
   }
   EXPECT_EQ(server.stats(site).sessions, 1u);
   EXPECT_EQ(server.generation(site), 2u);
+}
+
+// A session's window caches each AP's universe slot, tagged with the
+// universe id of the map it was scored in. Serve one device across
+// republishes that keep the universe, add a BSSID that sorts before
+// every other (every slot shifts), drop it again, and install a
+// from-scratch compile of another survey (which may reuse a freed
+// map's address): after every scan the fix must carry the bits of
+// try_locate(from_scans(window)) on the locator then published.
+TEST(LocationServer, SessionSlotCacheFollowsEveryRepublish) {
+  radio::ChannelConfig channel;
+  channel.quantize_dbm = false;
+  const core::Testbed testbed(radio::make_office_floor(6), {}, channel);
+  const auto footprint = testbed.environment().footprint();
+  auto base = core::CompiledDatabase::compile_owned(
+      testbed.train(core::make_training_grid(footprint, 20.0), 8, 5));
+  const std::string first_bssid = "00:00:00:00:00:00";
+
+  core::DatabaseDelta same;
+  same.upserts.push_back(base->point(0));
+  for (traindb::ApStatistics& s : same.upserts[0].per_ap) s.mean_dbm -= 2.0;
+  auto kept = base->delta_compile(same);
+  EXPECT_EQ(kept->universe_id(), base->universe_id());
+
+  core::DatabaseDelta grow;
+  grow.upserts.push_back(kept->point(2));
+  traindb::ApStatistics joined = grow.upserts[0].per_ap.front();
+  joined.bssid = first_bssid;
+  grow.upserts[0].per_ap.push_back(joined);
+  auto grown = kept->delta_compile(grow);
+  EXPECT_NE(grown->universe_id(), kept->universe_id());
+  ASSERT_EQ(grown->slot_of(first_bssid), 0u);
+
+  core::DatabaseDelta shrink;
+  shrink.upserts.push_back(kept->point(2));
+  auto shrunk = grown->delta_compile(shrink);
+  EXPECT_NE(shrunk->universe_id(), grown->universe_id());
+  EXPECT_FALSE(shrunk->slot_of(first_bssid).has_value());
+
+  LocationServerConfig config = small_config();
+  config.service.kalman_smoothing = false;
+  config.service.place_debounce = 1;
+  LocationServer server(config);
+  std::shared_ptr<const core::Locator> current =
+      std::make_shared<core::ProbabilisticLocator>(std::move(base));
+  const SiteId site = server.add_site("republished", current);
+
+  radio::Scanner scanner = testbed.make_scanner(8);
+  std::deque<radio::ScanRecord> held;
+  std::size_t scans = 0;
+  const auto serve = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i, ++scans) {
+      const double f = static_cast<double>(scans % 60) / 60.0;
+      radio::ScanRecord scan = scanner.scan_at({15.0 + 90.0 * f, 35.0});
+      if (scans % 3 != 0) scan.samples.push_back({first_bssid, -71.5, 1});
+      held.push_back(scan);
+      if (held.size() > config.service.window_scans) held.pop_front();
+      const core::ServiceFix fix = server.on_scan(site, 42, scan);
+      if (held.size() < config.service.min_scans) continue;
+      const Result<core::LocationEstimate> want = current->try_locate(
+          core::Observation::from_scans({held.begin(), held.end()}));
+      ASSERT_EQ(fix.valid, want.ok()) << "scan " << scans;
+      if (!want.ok()) continue;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(fix.position.x),
+                std::bit_cast<std::uint64_t>(want.value().position.x));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(fix.position.y),
+                std::bit_cast<std::uint64_t>(want.value().position.y));
+      EXPECT_EQ(fix.place, want.value().location_name);
+    }
+  };
+  const auto republish = [&](std::shared_ptr<const core::CompiledDatabase> map) {
+    current = std::make_shared<core::ProbabilisticLocator>(std::move(map));
+    server.swap_site(site, current);
+    server.reclaim(site);
+  };
+
+  serve(12);
+  republish(std::move(kept));
+  serve(12);
+  republish(std::move(grown));
+  serve(12);
+  republish(std::move(shrunk));
+  serve(12);
+  // Every map above is now freed but the published one.
+  republish(core::CompiledDatabase::compile_owned(
+      testbed.train(core::make_training_grid(footprint, 15.0), 6, 9)));
+  serve(12);
+  EXPECT_EQ(server.stats(site).sessions, 1u);
 }
 
 TEST(LocationServer, DoubleSwapInOneEpochReclaimsBoth) {
